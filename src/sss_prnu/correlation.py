@@ -7,9 +7,10 @@ products over mean-centered vectors a, b:
 
 Each cloud server holds one share of a and one share of b, multiplies
 them elementwise (the single multiplication the sharing scheme allows),
-and sums locally.  The resulting per-server partial sums are themselves
-shares of P, Q, R at the doubled degree, so a quorum of 2l-1 partials
-reconstructs the exact integer sums.  Only the final division and
+and sums locally; one exact Gram matrix of the two share vectors
+(`PrimeField.gram`) yields all three sums.  The resulting per-server
+partial sums are themselves shares of P, Q, R at the doubled degree, so
+a quorum of 2l-1 partials reconstructs the exact integer sums.  Only the final division and
 square root happen in plaintext, on the reconstructing side.
 
 All field values are exact fixed-point integers, so under the capacity
@@ -27,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .field import PrimeField
-from .fixedpoint import Centering, Scaling, capacity_check, encode
+from .fixedpoint import Centering, Scaling, capacity_check, encode_vector
 from .prnu import DegenerateInput
 from .sharing import (
     DegreeMismatch,
@@ -35,8 +36,8 @@ from .sharing import (
     InsufficientShares,
     ShareScheme,
     ShareVector,
-    interpolate_at_zero,
-    mul_shares,
+    check_product_operands,
+    interpolate_vector,
     share_vector,
 )
 
@@ -120,13 +121,13 @@ def prepare_vector(
         # Half a unit of rounding slack per element, in plaintext units.
         bound = max_centered + 0.5 / s.scale
         capacity_check(count, bound, s, scheme.field, mode)
-        ints = [encode(float(x), s, scheme.field) for x in centered]
+        ints = encode_vector(centered, s, scheme.field)
         is_centered = True
     else:
         # Centering over integers leaves up to one full unit of slack.
         bound = max_centered + 1.0 / s.scale
         capacity_check(count, bound, s, scheme.field, mode)
-        ints = [encode(float(x), s, scheme.field) for x in flat]
+        ints = encode_vector(flat, s, scheme.field)
         is_centered = False
     return [
         EncryptedVector(share=v, scaling=s, mode=mode, centered=is_centered, max_abs=bound)
@@ -158,10 +159,11 @@ def center_shares(
     if v.max_abs is not None:
         capacity_check(element_count, v.max_abs, v.scaling, scheme.field, v.mode)
     f = scheme.field
-    p = f.p
-    total = sum(v.share.values) % p
-    mean_share = total * f.inv(element_count % p) % p
-    values = [(x - mean_share) * element_count % p for x in v.share.values]
+    mean_share = f.mul(f.sum_vec(v.share.values), f.inv(element_count))
+    # element_count * (x - mean) = x * element_count - mean * element_count
+    values = f.mul_scalar(
+        v.share.values, element_count, plus=f.neg(f.mul(mean_share, element_count))
+    )
     centered = ShareVector(v.share.point, values, v.share.degree_hint)
     return EncryptedVector(
         share=centered, scaling=v.scaling, mode=v.mode, centered=True, max_abs=v.max_abs
@@ -175,7 +177,8 @@ def compute_partials(
 
     Runs entirely on one server's pair of shares; no other server's
     data is involved.  Each sum uses exactly one share multiplication,
-    so the outputs carry the doubled degree.
+    so the outputs carry the doubled degree.  One Gram matrix of the two
+    share vectors holds all three sums.
     """
     if not a.centered or not b.centered:
         raise ValueError("both vectors must be centered before correlation")
@@ -183,16 +186,14 @@ def compute_partials(
         raise ValueError("cannot mix centering modes within one correlation")
     if a.scaling != b.scaling:
         raise ValueError("cannot mix scalings within one correlation")
-    p = scheme.field.p
-    ab = mul_shares(a.share, b.share, scheme)
-    aa = mul_shares(a.share, a.share, scheme)
-    bb = mul_shares(b.share, b.share, scheme)
+    check_product_operands(a.share, b.share, scheme)
+    (aa, ab), (_, bb) = scheme.field.gram([a.share.values, b.share.values])
     return PartialCorrelation(
         point=a.share.point,
-        p_share=sum(ab.values) % p,
-        q_share=sum(aa.values) % p,
-        r_share=sum(bb.values) % p,
-        degree_hint=ab.degree_hint,
+        p_share=ab,
+        q_share=aa,
+        r_share=bb,
+        degree_hint=scheme.product_degree,
     )
 
 
@@ -213,9 +214,8 @@ def reconstruct_sum_ints(
     if len(set(points)) != len(points):
         raise DuplicatePoint("duplicate server points among partials")
     f = scheme.field
-    p_int = f.signed(interpolate_at_zero(points, [pc.p_share for pc in parts], f))
-    q_int = f.signed(interpolate_at_zero(points, [pc.q_share for pc in parts], f))
-    r_int = f.signed(interpolate_at_zero(points, [pc.r_share for pc in parts], f))
+    rows = [(pc.p_share, pc.q_share, pc.r_share) for pc in parts]
+    p_int, q_int, r_int = (f.signed(int(v)) for v in interpolate_vector(points, rows, 0, f))
     return p_int, q_int, r_int
 
 

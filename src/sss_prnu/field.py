@@ -1,14 +1,32 @@
 """Exact arithmetic in a prime field Z_p.
 
-Field elements are canonical residues: plain Python ints in [0, p).
-Every operation returns a canonical residue, so values coming out of a
-PrimeField can be fed straight back in.  Keeping elements as bare ints
-(rather than wrapper objects) keeps the share-vector hot loops cheap.
+Single field elements are canonical residues: plain Python ints in
+[0, p).  Every scalar operation returns a canonical residue, so values
+coming out of a PrimeField can be fed straight back in.
+
+Share vectors are one-dimensional `uint64` ndarrays of canonical
+residues; p < 2**63 keeps a residue, and the sum of two, below 2**64.
+Every per-element step runs on two exact kernels:
+
+  * `mul_scalar`: (x * w + a) mod p for a vector x, a public scalar w
+    and an optional canonical addend a, by Shoup's precomputed-quotient
+    method.  With w' = floor(w * 2**64 / p) and q the high word of
+    x * w', the wrapping difference x * w - q * p lies in [0, 2p), so one
+    conditional subtract finishes it.  Exact for every p < 2**63, every
+    w in [0, p) and every x < 2**64.
+  * `gram`: all pairwise sums of products sum_k a_k * b_k mod p over a
+    few vectors.  Values split into three 21-bit limbs; one `uint64`
+    matmul of the stacked limbs sums limb products below 2**42 each,
+    which stays exact for up to 2**22 columns per block.  Blocks and
+    limbs recombine in Python ints mod p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional, Sequence, Union
+
+import numpy as np
 
 # Mersenne prime: fast to reduce, fits in 8 bytes, and (p-1)/2 ~ 1.15e18
 # leaves ample headroom for the fixed-point capacity bound.
@@ -18,6 +36,20 @@ DEFAULT_PRIME = 2**61 - 1
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 ELEMENT_BYTES = 8
+ELEMENT_DTYPE = np.dtype(np.uint64)
+# Share vectors travel as big-endian 8-byte unsigned ints.
+WIRE_DTYPE = np.dtype(">u8")
+
+# 0-d arrays: as operands they cost numpy far less than scalars do.
+_LO32 = np.array(0xFFFFFFFF, dtype=ELEMENT_DTYPE)
+_SHIFT32 = np.array(32, dtype=ELEMENT_DTYPE)
+_LIMB_BITS = 21
+_LIMB_MASK = np.array((1 << _LIMB_BITS) - 1, dtype=ELEMENT_DTYPE)
+_LIMB_SHIFT = np.array(_LIMB_BITS, dtype=ELEMENT_DTYPE)
+# Columns per Gram block: (2**21 - 1)**2 * 2**22 < 2**64.
+GRAM_BLOCK = 1 << 22
+# Elements per pass of the Shoup kernel.
+_CHUNK = 1 << 15
 
 
 class FieldError(ValueError):
@@ -57,6 +89,60 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _shoup(
+    x: np.ndarray,
+    multiplier: np.ndarray,
+    pv: np.ndarray,
+    plus: Optional[np.ndarray],
+    out: np.ndarray,
+    scratch: np.ndarray,
+) -> None:
+    """out = (x * w + plus) mod pv; `multiplier` stacks w and the low and
+    high 32-bit halves of Shoup's quotient w' = floor(w * 2**64 / p)."""
+    wv, wl, wh = multiplier
+    xl, xh, t, u = scratch
+    np.bitwise_and(x, _LO32, out=xl)
+    np.right_shift(x, _SHIFT32, out=xh)
+    # High word q of x * w' from four 32x32-bit partial products:
+    # t = xh*wl + hi(xl*wl), u = xl*wh + lo(t), q = xh*wh + hi(t) + hi(u).
+    np.multiply(xl, wl, out=t)
+    np.right_shift(t, _SHIFT32, out=t)
+    np.multiply(xh, wl, out=u)
+    np.add(t, u, out=t)
+    np.multiply(xl, wh, out=u)
+    np.bitwise_and(t, _LO32, out=xl)
+    np.add(u, xl, out=u)
+    np.right_shift(t, _SHIFT32, out=t)
+    np.right_shift(u, _SHIFT32, out=u)
+    np.multiply(xh, wh, out=xh)
+    np.add(xh, t, out=xh)
+    np.add(xh, u, out=xh)
+    # x * w - q * p wraps mod 2**64; its true value lies in [0, 2p).
+    np.multiply(xh, pv, out=xh)
+    np.multiply(x, wv, out=out)
+    np.subtract(out, xh, out=out)
+    # A value r in [0, 2p) reduces as min(r, r - p): r - p wraps above r
+    # exactly when r < p.
+    np.subtract(out, pv, out=u)
+    np.minimum(out, u, out=out)
+    if plus is not None:
+        np.add(out, plus, out=out)
+        np.subtract(out, pv, out=u)
+        np.minimum(out, u, out=out)
+
+
+def _limbs(rows: Sequence[np.ndarray]) -> np.ndarray:
+    """(3 * len(rows), n) stack of the 21-bit limbs of each row, low limb
+    first; values must be below 2**63."""
+    out = np.empty((3 * len(rows), len(rows[0])), dtype=ELEMENT_DTYPE)
+    for i, x in enumerate(rows):
+        np.bitwise_and(x, _LIMB_MASK, out=out[3 * i])
+        np.right_shift(x, _LIMB_SHIFT, out=out[3 * i + 1])
+        np.bitwise_and(out[3 * i + 1], _LIMB_MASK, out=out[3 * i + 1])
+        np.right_shift(x, _LIMB_SHIFT + _LIMB_SHIFT, out=out[3 * i + 2])
+    return out
 
 
 @dataclass(frozen=True)
@@ -114,6 +200,114 @@ class PrimeField:
     def rand(self, rng) -> int:
         """Uniform element from [0, p) drawn from the given RNG."""
         return rng.randrange(self.p)
+
+    # -- share-vector kernels --------------------------------------------
+
+    def random_vector(self, rng, count: int) -> np.ndarray:
+        """`count` uniform elements from one RNG's byte stream.
+
+        Each draw is 8 little-endian bytes masked to p.bit_length() bits;
+        draws at or above p are rejected, so the survivors are uniform in
+        [0, p).  Works for seeded `random.Random` (reproducible) and for
+        `random.SystemRandom` (os.urandom) alike.
+        """
+        bits = self.p.bit_length()
+        mask = np.array((1 << bits) - 1, dtype=ELEMENT_DTYPE)
+        out = np.empty(count, dtype=ELEMENT_DTYPE)
+        filled = 0
+        while filled < count:
+            need = count - filled
+            # Enough draws to expect `need` survivors, plus a little slack.
+            tries = (need << bits) // self.p + 8
+            draw = np.frombuffer(rng.randbytes(8 * tries), dtype="<u8") & mask
+            draw = draw[draw < self.p][:need]
+            out[filled : filled + draw.size] = draw
+            filled += draw.size
+        return out
+
+    def mul_scalar(
+        self,
+        x: np.ndarray,
+        w: Union[int, Sequence[int]],
+        plus: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """(x * w + plus) mod p by Shoup's method.
+
+        x may hold any value below 2**64.  `w` is one residue, or a
+        sequence of residues, one per row of the result (a 1-D x is then
+        used for every row).  `plus`, if given, holds canonical residues
+        that broadcast against the result.
+        """
+        p = self.p
+        single = isinstance(w, (int, np.integer))
+        ws = [int(w) % p] if single else [int(v) % p for v in w]
+        wqs = [(v << 64) // p for v in ws]
+        # Shoup operands w, lo32(w'), hi32(w'): one per row, or shape (1,).
+        multiplier = np.array(
+            [ws, [q & 0xFFFFFFFF for q in wqs], [q >> 32 for q in wqs]], dtype=ELEMENT_DTYPE
+        ).reshape((3, 1) if single else (3, len(ws), 1))
+        out = np.empty(x.shape if single else (len(ws), x.shape[-1]), dtype=ELEMENT_DTYPE)
+        if plus is not None:
+            plus = np.asarray(plus, dtype=ELEMENT_DTYPE)
+        # Column chunks keep the four scratch buffers cache-sized and
+        # reused; fresh temporaries of share-vector size would cost a
+        # page fault per page on every operation.
+        rows = out.shape[0] if out.ndim == 2 else 1
+        cols = max(1, min(_CHUNK // rows, out.shape[-1]))
+        scratch = np.empty((4, *out.shape[:-1], cols), dtype=ELEMENT_DTYPE)
+        pv = np.array(p, dtype=ELEMENT_DTYPE)
+        for start in range(0, out.shape[-1], cols):
+            part = slice(start, start + cols)
+            _shoup(
+                x[..., part],
+                multiplier,
+                pv,
+                plus if plus is None or plus.ndim == 0 else plus[..., part],
+                out[..., part],
+                scratch[..., : min(cols, out.shape[-1] - start)],
+            )
+        return out
+
+    def mul_vec(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Elementwise x * y mod p for canonical vectors.
+
+        The 21-bit limb products, grouped by weight 2**(21 s), are each
+        below 3 * 2**42; Horner in base 2**21 folds them with `mul_scalar`.
+        """
+        xs, ys = _limbs([x]), _limbs([y])
+        radix = (1 << _LIMB_BITS) % self.p
+        acc = None
+        for s in range(4, -1, -1):
+            c = sum(xs[i] * ys[s - i] for i in range(max(0, s - 2), min(s, 2) + 1))
+            acc = c if acc is None else self.mul_scalar(acc, radix) + c
+        return self.mul_scalar(acc, 1)
+
+    def sum_vec(self, x: np.ndarray) -> int:
+        """sum(x) mod p, exact for fewer than 2**32 canonical elements."""
+        lo = int(np.sum(x & _LO32, dtype=ELEMENT_DTYPE))
+        hi = int(np.sum(x >> _SHIFT32, dtype=ELEMENT_DTYPE))
+        return (lo + (hi << 32)) % self.p
+
+    def gram(self, rows: Sequence[np.ndarray]) -> list[list[int]]:
+        """G[i][j] = sum_k rows[i][k] * rows[j][k] mod p, exactly.
+
+        One `uint64` matmul of the stacked 21-bit limbs per block of
+        GRAM_BLOCK columns; limbs and blocks recombine in Python ints.
+        """
+        k = len(rows)
+        length = len(rows[0])
+        if any(len(r) != length for r in rows):
+            raise ValueError("Gram rows differ in length")
+        if length and max(int(r.max()) for r in rows) >= self.p:
+            raise ValueError(f"Gram rows hold values outside Z_{self.p}")
+        total = np.zeros((3 * k, 3 * k), dtype=object)
+        for start in range(0, length, GRAM_BLOCK):
+            limbs = _limbs([r[start : start + GRAM_BLOCK] for r in rows])
+            total += (limbs @ limbs.T).astype(object)
+        # Limb a of a row carries the weight 2**(21 a).
+        weight = np.array([1 << (_LIMB_BITS * a) for a in range(3)] * k, dtype=object)
+        sums = (total * np.outer(weight, weight)).reshape(k, 3, k, 3).sum(axis=(1, 3))
+        return [[int(v) % self.p for v in row] for row in sums]
 
     def to_bytes(self, a: int) -> bytes:
         """Serialize one element as an 8-byte big-endian unsigned int."""

@@ -16,7 +16,9 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .field import PrimeField
+import numpy as np
+
+from .field import ELEMENT_DTYPE, PrimeField
 
 
 class Centering(enum.Enum):
@@ -83,17 +85,30 @@ def round_half_away(x: float) -> int:
 
 
 def encode(x: float, s: Scaling, field: PrimeField) -> int:
-    """Encode a real as round(x * 10**d) mod p.
+    """Encode one real as round(x * 10**d) mod p; see `encode_vector`."""
+    return int(encode_vector(np.array([x], dtype=np.float64), s, field)[0])
 
-    Negative values land at p - |m| so the signed lift in `decode`
-    recovers them exactly.
+
+def encode_vector(xs: np.ndarray, s: Scaling, field: PrimeField) -> np.ndarray:
+    """Encode reals as round(x * 10**d) mod p, as a `uint64` vector.
+
+    Rounding is `round_half_away` applied elementwise.  Negative values
+    land at p - |m| so the signed lift in `decode` recovers them exactly.
+    Raises OutOfRange unless every |m| is at most (p-1)/2.
     """
-    m = round_half_away(x * s.scale)
-    if abs(m) > field.half:
-        raise OutOfRange(
-            f"|{x}| scaled by 10^{s.d} exceeds the signed field range"
-        )
-    return m % field.p
+    xs = np.asarray(xs, dtype=np.float64)
+    scaled = xs * s.scale
+    m = np.where(scaled >= 0, np.floor(scaled + 0.5), np.ceil(scaled - 0.5))
+    # Every finite m is an integer-valued float, so int() of the peak
+    # magnitude compares exactly against the signed range.
+    if m.size:
+        worst = int(np.argmax(np.abs(m)))
+        peak = abs(float(m[worst]))
+        if not math.isfinite(peak) or int(peak) > field.half:
+            raise OutOfRange(
+                f"|{xs[worst]}| scaled by 10^{s.d} exceeds the signed field range"
+            )
+    return np.mod(m.astype(np.int64), field.p).astype(ELEMENT_DTYPE)
 
 
 def decode(e: int, s: Scaling, field: PrimeField, denom_power: int = 1) -> float:

@@ -50,13 +50,13 @@ from .correlation import (
     serialize_partial,
 )
 from .fixedpoint import Centering, Scaling
-from .prnu import GaussianDenoiser, extract_residual
+from .prnu import DimensionMismatch, GaussianDenoiser, extract_residual
 from .sharing import (
     ShareScheme,
     ShareVector,
     SharingError,
     deserialize_share_vector,
-    lagrange_weights,
+    interpolate_vector,
     serialize_share_vector,
 )
 
@@ -208,8 +208,7 @@ class CloudServer:
             raise wire.FrameError(
                 f"share for point {vec.point} routed to server {self.point}"
             )
-        p = self.cfg.scheme.field.p
-        if any(not 0 <= v < p for v in vec.values):
+        if len(vec) and int(vec.values.max()) >= self.cfg.scheme.field.p:
             raise wire.FrameError("share values outside the field")
 
     def _enroll(self, payload: bytes) -> tuple[int, bytes]:
@@ -233,6 +232,10 @@ class CloudServer:
         if stored is None:
             return wire.MSG_ERROR, wire.pack_error(
                 wire.ERR_UNKNOWN_ID, f"no share stored under id {fid!r}"
+            )
+        if len(qvec) != len(stored):
+            raise wire.FrameError(
+                f"query has {len(qvec)} elements but id {fid!r} was enrolled with {len(stored)}"
             )
         cfg = self.cfg
         pre_centered = cfg.mode is Centering.PLAINTEXT
@@ -371,7 +374,7 @@ def flip_one_element(rng: random.Random, p: int) -> Callable[[ShareVector], Shar
     """Tamper rule: replace one stored element with a uniform field value."""
 
     def rule(vec: ShareVector) -> ShareVector:
-        values = list(vec.values)
+        values = vec.values.copy()
         values[rng.randrange(len(values))] = rng.randrange(p)
         return ShareVector(vec.point, values, vec.degree_hint)
 
@@ -511,21 +514,27 @@ def _fan_out(
     fid: str,
     cfg: ProtocolConfig,
     stop_at: Optional[int],
-) -> tuple[list[PartialCorrelation], list[int]]:
+) -> tuple[list[PartialCorrelation], list[int], list[_ServerRefusal]]:
     """Query all servers concurrently; collect partials in arrival order.
 
     Stops early once `stop_at` partials arrived (None collects all
-    responses until the deadline).  Returns (partials, unknown-id points).
+    responses until the deadline).  Every request is sent even after an
+    early stop, and has started by the time this returns.  Returns
+    (partials, unknown-id points, malformed-input refusals).
     """
     deadline = time.monotonic() + cfg.timeout_ms / 1000.0
     collected: list[PartialCorrelation] = []
     unknown: list[int] = []
+    malformed: list[_ServerRefusal] = []
+    started = threading.Semaphore(0)
+
+    def send(link, vec: ShareVector) -> PartialCorrelation:
+        started.release()
+        return _send_query(link, fid, vec, cfg)
+
     executor = ThreadPoolExecutor(max_workers=len(links))
     try:
-        pending = {
-            executor.submit(_send_query, link, fid, vec, cfg)
-            for link, vec in zip(links, vectors)
-        }
+        pending = {executor.submit(send, link, vec) for link, vec in zip(links, vectors)}
         while pending:
             if stop_at is not None and len(collected) >= stop_at:
                 break
@@ -541,11 +550,37 @@ def _fan_out(
                 except _ServerRefusal as exc:
                     if exc.code == wire.ERR_UNKNOWN_ID:
                         unknown.append(exc.point)
+                    elif exc.code == wire.ERR_MALFORMED:
+                        malformed.append(exc)
                 except TransportError:
                     pass
     finally:
-        executor.shutdown(wait=False, cancel_futures=True)
-    return collected, unknown
+        # Every request is handed to its link before the caller moves on,
+        # so no straggler is still queued when the caller's next one starts.
+        for _ in links:
+            started.acquire(timeout=max(0.0, deadline - time.monotonic()))
+        executor.shutdown(wait=False)
+    return collected, unknown, malformed
+
+
+def _no_quorum(
+    responded: int,
+    unknown: list[int],
+    malformed: list[_ServerRefusal],
+    cfg: ProtocolConfig,
+) -> ProtocolError | DimensionMismatch:
+    """The error for a fan-out that fell short of the quorum.
+
+    Servers refuse a well-formed client's query as malformed only when
+    it does not fit the enrolled share, such as an image of another size.
+    """
+    if unknown:
+        return UnknownFingerprint(unknown)
+    if malformed:
+        return DimensionMismatch(
+            "servers refused the query: " + "; ".join(str(exc) for exc in malformed)
+        )
+    return QuorumNotReached(responded, cfg.quorum)
 
 
 def query_residual(
@@ -559,11 +594,9 @@ def query_residual(
     _check_links(links, cfg)
     flat = np.asarray(residual, dtype=np.float64).ravel()
     vectors = [ev.share for ev in prepare_vector(flat, cfg.scaling, cfg.scheme, cfg.mode, rng)]
-    parts, unknown = _fan_out(links, vectors, fid, cfg, stop_at=cfg.quorum)
+    parts, unknown, malformed = _fan_out(links, vectors, fid, cfg, stop_at=cfg.quorum)
     if len(parts) < cfg.quorum:
-        if unknown:
-            raise UnknownFingerprint(unknown)
-        raise QuorumNotReached(len(parts), cfg.quorum)
+        raise _no_quorum(len(parts), unknown, malformed, cfg)
     first = parts[: cfg.quorum]
     p_val, q_val, r_val = reconstruct_partials(
         first, cfg.scheme, cfg.scaling, cfg.mode, int(flat.size)
@@ -623,29 +656,19 @@ def _audit_stored_shares(
     points = sorted(fetched)
     suspects: set[int] = set()
     length = min(len(fetched[u]) for u in points)
+    values = {u: fetched[u].values[:length] for u in points}
     for s in points:
         others = [u for u in points if u != s]
         if len(others) < scheme.l:
             continue
         base, rest = others[: scheme.l], others[scheme.l :]
-        check_targets = rest + [s]
-        weight_rows = [lagrange_weights(base, t, f) for t in check_targets]
-        others_ok = True
-        s_deviates = False
-        for k in range(length):
-            base_vals = [fetched[u].values[k] for u in base]
-            for t, weights in zip(check_targets, weight_rows):
-                predicted = sum(w * v for w, v in zip(weights, base_vals)) % f.p
-                actual = fetched[t].values[k]
-                if predicted != actual:
-                    if t == s:
-                        s_deviates = True
-                    else:
-                        others_ok = False
-                        break
-            if not others_ok:
-                break
-        if others_ok and s_deviates:
+        base_rows = [values[u] for u in base]
+        deviating = [
+            t
+            for t in rest + [s]
+            if not np.array_equal(interpolate_vector(base, base_rows, t, f), values[t])
+        ]
+        if deviating == [s]:
             suspects.add(s)
     return suspects
 
@@ -709,11 +732,9 @@ def verify_residual(
     flat = np.asarray(residual, dtype=np.float64).ravel()
     vectors = [ev.share for ev in prepare_vector(flat, cfg.scaling, scheme, cfg.mode, rng)]
     sent = {vec.point: vec for vec in vectors}
-    parts, unknown = _fan_out(links, vectors, fid, cfg, stop_at=None)
+    parts, unknown, malformed = _fan_out(links, vectors, fid, cfg, stop_at=None)
     if len(parts) < cfg.quorum:
-        if unknown:
-            raise UnknownFingerprint(unknown)
-        raise QuorumNotReached(len(parts), cfg.quorum)
+        raise _no_quorum(len(parts), unknown, malformed, cfg)
     parts = sorted(parts, key=lambda pc: pc.point)
     by_point = {pc.point: pc for pc in parts}
     responding = tuple(pc.point for pc in parts)

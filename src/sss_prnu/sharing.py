@@ -20,7 +20,9 @@ import struct
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
-from .field import ELEMENT_BYTES, PrimeField
+import numpy as np
+
+from .field import ELEMENT_BYTES, ELEMENT_DTYPE, WIRE_DTYPE, PrimeField
 
 
 class SharingError(Exception):
@@ -121,16 +123,44 @@ class Share:
     degree_hint: int
 
 
-@dataclass
+@dataclass(eq=False)
 class ShareVector:
-    """One server's share of a whole flattened matrix."""
+    """One server's share of a whole flattened matrix.
+
+    `values` is a one-dimensional `uint64` ndarray of residues; any
+    sequence of ints passed in is converted to one.
+    """
 
     point: int
-    values: list[int]
+    values: np.ndarray
     degree_hint: int
+
+    def __post_init__(self) -> None:
+        self.values = np.asarray(self.values, dtype=ELEMENT_DTYPE)
 
     def __len__(self) -> int:
         return len(self.values)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ShareVector):
+            return NotImplemented
+        return (
+            self.point == other.point
+            and self.degree_hint == other.degree_hint
+            and np.array_equal(self.values, other.values)
+        )
+
+
+def _evaluate(secrets: np.ndarray, coeffs: np.ndarray, scheme: ShareScheme) -> np.ndarray:
+    """Row i holds the shares at evaluation point i of each secret, under
+    the polynomials whose coefficient of u^(j+1) is coeffs[j]; one Horner
+    pass covers every point at once."""
+    f = scheme.field
+    points = scheme.evaluation_points
+    acc = coeffs[-1]
+    for row in coeffs[-2::-1]:
+        acc = f.mul_scalar(acc, points, plus=row)
+    return f.mul_scalar(acc, points, plus=secrets)
 
 
 def share(
@@ -145,19 +175,18 @@ def share(
     tests that need a known polynomial and must not be used otherwise.
     """
     f = scheme.field
-    secret = f.element(secret)
+    secrets = np.array([f.element(secret)], dtype=ELEMENT_DTYPE)
     if coeffs is None:
         rng = rng if rng is not None else _SYSTEM_RNG
-        coeffs = [rng.randrange(f.p) for _ in range(scheme.l - 1)]
+        rows = f.random_vector(rng, scheme.l - 1)
     elif len(coeffs) != scheme.l - 1:
         raise ValueError(f"expected {scheme.l - 1} coefficients")
-    out = []
-    for u in scheme.evaluation_points:
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc + c) * u % f.p
-        out.append(Share(u, (acc + secret) % f.p, scheme.fresh_degree))
-    return out
+    else:
+        rows = np.array([f.element(c) for c in coeffs], dtype=ELEMENT_DTYPE)
+    values = _evaluate(secrets, rows.reshape(-1, 1), scheme)[:, 0].tolist()
+    return [
+        Share(u, v, scheme.fresh_degree) for u, v in zip(scheme.evaluation_points, values)
+    ]
 
 
 def share_vector(
@@ -165,25 +194,19 @@ def share_vector(
     scheme: ShareScheme,
     rng: Optional[random.Random] = None,
 ) -> list[ShareVector]:
-    """Share every element of a vector, one fresh polynomial per element."""
+    """Share every element of a vector, one fresh polynomial per element.
+
+    `secrets` are residues below 2**64 (a `uint64` vector or ints); they
+    are reduced mod p.
+    """
     f = scheme.field
-    p = f.p
+    secrets = np.asarray(secrets, dtype=ELEMENT_DTYPE) % np.uint64(f.p)
     rng = rng if rng is not None else _SYSTEM_RNG
-    coeff_cols = [
-        [rng.randrange(p) for _ in range(len(secrets))]
-        for _ in range(scheme.l - 1)
+    coeffs = f.random_vector(rng, (scheme.l - 1) * len(secrets))
+    values = _evaluate(secrets, coeffs.reshape(scheme.l - 1, len(secrets)), scheme)
+    return [
+        ShareVector(u, v, scheme.fresh_degree) for u, v in zip(scheme.evaluation_points, values)
     ]
-    out = []
-    for u in scheme.evaluation_points:
-        values = []
-        for k, s in enumerate(secrets):
-            # Horner evaluation of the k-th polynomial at u.
-            acc = 0
-            for col in reversed(coeff_cols):
-                acc = (acc + col[k]) * u % p
-            values.append((acc + s) % p)
-        out.append(ShareVector(u, values, scheme.fresh_degree))
-    return out
 
 
 def lagrange_weights(
@@ -208,15 +231,22 @@ def lagrange_weights(
     return weights
 
 
+def interpolate_vector(
+    points: Sequence[int], rows: Sequence, x: int, field: PrimeField
+) -> np.ndarray:
+    """Evaluate at x, element by element, the polynomials through
+    (points[i], rows[i][k]); exact for any row values below 2**64."""
+    acc = None
+    for w, row in zip(lagrange_weights(points, x, field), rows):
+        acc = field.mul_scalar(np.asarray(row, dtype=ELEMENT_DTYPE), w, plus=acc)
+    return acc
+
+
 def interpolate_at(
     points: Sequence[int], values: Sequence[int], x: int, field: PrimeField
 ) -> int:
     """Evaluate the unique interpolating polynomial at x."""
-    weights = lagrange_weights(points, x, field)
-    total = 0
-    for w, y in zip(weights, values):
-        total += w * y
-    return total % field.p
+    return int(interpolate_vector(points, [[v] for v in values], x, field)[0])
 
 
 def interpolate_at_zero(
@@ -259,17 +289,7 @@ def reconstruct_vector(
         raise DuplicatePoint("duplicate evaluation points")
     if len(vectors) < degree + 1:
         raise InsufficientShares(len(vectors), degree + 1)
-    f = scheme.field
-    p = f.p
-    # Lagrange basis at zero is shared by every element; compute once.
-    weights = lagrange_weights(points, 0, f)
-    out = []
-    for k in range(length):
-        acc = 0
-        for w, v in zip(weights, vectors):
-            acc += w * v.values[k]
-        out.append(acc % p)
-    return out
+    return interpolate_vector(points, [v.values for v in vectors], 0, scheme.field).tolist()
 
 
 def add_shares(a: ShareVector, b: ShareVector, scheme: ShareScheme) -> ShareVector:
@@ -280,25 +300,20 @@ def add_shares(a: ShareVector, b: ShareVector, scheme: ShareScheme) -> ShareVect
         raise DegreeMismatch("cannot add shares of different degrees")
     if len(a) != len(b):
         raise LengthMismatch(f"lengths {len(a)} and {len(b)} differ")
-    p = scheme.field.p
-    values = [(x + y) % p for x, y in zip(a.values, b.values)]
-    return ShareVector(a.point, values, a.degree_hint)
+    return ShareVector(a.point, scheme.field.mul_scalar(a.values, 1, plus=b.values), a.degree_hint)
 
 
 def scalar_mul(c: int, a: ShareVector, scheme: ShareScheme) -> ShareVector:
     """Multiply shares by a public constant; degree is unchanged."""
-    f = scheme.field
-    c = f.element(c)
-    values = [c * x % f.p for x in a.values]
-    return ShareVector(a.point, values, a.degree_hint)
+    return ShareVector(a.point, scheme.field.mul_scalar(a.values, c), a.degree_hint)
 
 
-def mul_shares(a: ShareVector, b: ShareVector, scheme: ShareScheme) -> ShareVector:
-    """Elementwise share multiplication; the one allowed multiplication.
+def check_product_operands(a: ShareVector, b: ShareVector, scheme: ShareScheme) -> None:
+    """Guards for the one allowed multiplication of a by b.
 
-    The result carries degree 2l-2 and needs the 2l-1 quorum to
-    reconstruct.  Inputs must both be fresh (degree l-1); anything else
-    would push the degree past what n points can interpolate.
+    Both must be fresh (degree l-1) shares at the same point and of the
+    same length; anything else would push the degree past what n points
+    can interpolate, or pair unrelated elements.
     """
     if a.point != b.point:
         raise PointMismatch(f"points {a.point} and {b.point} differ")
@@ -309,9 +324,16 @@ def mul_shares(a: ShareVector, b: ShareVector, scheme: ShareScheme) -> ShareVect
         raise DegreeOverflow(
             "shares already carry a product; only one multiplication is supported"
         )
-    p = scheme.field.p
-    values = [x * y % p for x, y in zip(a.values, b.values)]
-    return ShareVector(a.point, values, scheme.product_degree)
+
+
+def mul_shares(a: ShareVector, b: ShareVector, scheme: ShareScheme) -> ShareVector:
+    """Elementwise share multiplication; the one allowed multiplication.
+
+    The result carries degree 2l-2 and needs the 2l-1 quorum to
+    reconstruct.
+    """
+    check_product_operands(a, b, scheme)
+    return ShareVector(a.point, scheme.field.mul_vec(a.values, b.values), scheme.product_degree)
 
 
 _VEC_HEADER = struct.Struct(">QBI")
@@ -319,22 +341,18 @@ _VEC_HEADER = struct.Struct(">QBI")
 
 def serialize_share_vector(v: ShareVector) -> bytes:
     """point(8B) | degree_hint(1B) | count(4B) | elements(8B each), big-endian."""
-    parts = [_VEC_HEADER.pack(v.point, v.degree_hint, len(v.values))]
-    parts.extend(x.to_bytes(ELEMENT_BYTES, "big") for x in v.values)
-    return b"".join(parts)
+    header = _VEC_HEADER.pack(v.point, v.degree_hint, len(v))
+    return header + v.values.astype(WIRE_DTYPE).tobytes()
 
 
 def deserialize_share_vector(raw: bytes) -> ShareVector:
     if len(raw) < _VEC_HEADER.size:
         raise ValueError("share vector header truncated")
     point, degree_hint, count = _VEC_HEADER.unpack_from(raw)
-    body = raw[_VEC_HEADER.size :]
-    if len(body) != count * ELEMENT_BYTES:
+    body = len(raw) - _VEC_HEADER.size
+    if body != count * ELEMENT_BYTES:
         raise ValueError(
-            f"share vector body has {len(body)} bytes, expected {count * ELEMENT_BYTES}"
+            f"share vector body has {body} bytes, expected {count * ELEMENT_BYTES}"
         )
-    values = [
-        int.from_bytes(body[i * ELEMENT_BYTES : (i + 1) * ELEMENT_BYTES], "big")
-        for i in range(count)
-    ]
-    return ShareVector(point, values, degree_hint)
+    values = np.frombuffer(raw, dtype=WIRE_DTYPE, offset=_VEC_HEADER.size)
+    return ShareVector(point, values.astype(ELEMENT_DTYPE), degree_hint)

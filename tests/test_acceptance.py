@@ -208,7 +208,9 @@ def test_criterion_7_seeded_tcp_runs_produce_identical_traces():
         try:
             for u in SCHEME.evaluation_points:
                 srv = TcpCloudServer(("127.0.0.1", 0), CloudServer(u, cfg))
-                threading.Thread(target=srv.serve_forever, daemon=True).start()
+                threading.Thread(
+                    target=srv.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+                ).start()
                 servers.append(srv)
                 links.append(TcpLink(u, srv.server_address, observer=observer))
             enroll(fp, "cam", cfg, links, random.Random(42))

@@ -218,6 +218,25 @@ def test_query_unknown_id_is_protocol_error(dataset, tmp_path, capsys):
     assert "error=" in err
 
 
+def test_query_of_another_size_is_usage_error(dataset, tmp_path, capsys):
+    store = str(tmp_path / "cluster")
+    code, _, _ = run_cli(
+        ["enroll", "--fingerprint", dataset["fp"], "--id", "cam00",
+         "--store-root", store, "--seed", "5"],
+        capsys,
+    )
+    assert code == 0
+    wide = str(tmp_path / "wide.pgm")
+    write_pgm(wide, np.random.default_rng(3).uniform(0, 255, (32, 33)))
+    code, _, err = run_cli(
+        ["query", "--image", wide, "--id", "cam00",
+         "--store-root", store, "--threshold", "0.3"],
+        capsys,
+    )
+    assert code == 2
+    assert "query has 1056 elements" in err and "enrolled with 1024" in err
+
+
 def test_verify_flags_tampered_store(dataset, tmp_path, capsys):
     store = str(tmp_path / "cluster")
     code, _, _ = run_cli(

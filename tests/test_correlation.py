@@ -79,7 +79,7 @@ def test_prepare_fresh_randomness_differs():
     m = np.array([[0.1, 0.2], [0.3, 0.4]])
     a = prepare_vector(m, S4, SCHEME, rng=random.Random(5))
     b = prepare_vector(m, S4, SCHEME, rng=random.Random(6))
-    assert any(x.share.values != y.share.values for x, y in zip(a, b))
+    assert any(x.share != y.share for x, y in zip(a, b))
 
 
 def test_prepare_rejects_empty_and_oversized():

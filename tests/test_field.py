@@ -1,8 +1,13 @@
 import random
 
+import numpy as np
 import pytest
+import scipy.stats
 
 from sss_prnu import DEFAULT_PRIME, NotPrime, PrimeField, ZeroInverse, is_prime
+from sss_prnu import field
+
+KERNEL_PRIMES = (17, 257, 2**61 - 1, 2**63 - 25)
 
 
 def test_default_prime_is_mersenne_61():
@@ -94,3 +99,85 @@ def test_from_bytes_rejects_noncanonical():
         f.from_bytes((f.p).to_bytes(8, "big"))
     with pytest.raises(ValueError):
         f.from_bytes(b"\x01\x02")
+
+
+def _operands(p, count, rng):
+    """Edge residues 0, 1, p-1 followed by uniform ones, as Python ints."""
+    return [0, 1, p - 1] + [rng.randrange(p) for _ in range(count)]
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_mul_scalar_matches_python_ints(p):
+    f = PrimeField(p)
+    rng = random.Random(p)
+    # Shoup's bound covers every x below 2**64, not just residues.
+    xs = _operands(p, 500, rng) + [2**63, 2**64 - 1] + [rng.randrange(2**64) for _ in range(500)]
+    x = np.array(xs, dtype=np.uint64)
+    for w in _operands(p, 20, rng):
+        assert f.mul_scalar(x, w).tolist() == [v * w % p for v in xs]
+    ws = _operands(p, 1, rng)
+    rows = np.stack([x] * len(ws))
+    assert f.mul_scalar(rows, ws).tolist() == [[v * w % p for v in xs] for w in ws]
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_elementwise_kernels_match_python_ints(p):
+    f = PrimeField(p)
+    rng = random.Random(p + 1)
+    a = _operands(p, 500, rng)
+    b = list(reversed(_operands(p, 500, rng)))
+    va, vb = np.array(a, dtype=np.uint64), np.array(b, dtype=np.uint64)
+    assert f.mul_vec(va, vb).tolist() == [x * y % p for x, y in zip(a, b)]
+    assert f.mul_scalar(va, 3, plus=vb).tolist() == [(3 * x + y) % p for x, y in zip(a, b)]
+    assert f.mul_scalar(va, [1, 2], plus=vb).tolist() == [
+        [(w * x + y) % p for x, y in zip(a, b)] for w in (1, 2)
+    ]
+    assert f.sum_vec(va) == sum(a) % p
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+@pytest.mark.parametrize("block", [64, field.GRAM_BLOCK])
+def test_gram_matches_python_ints_across_blocks(p, block, monkeypatch):
+    # A shrunken block puts the sizes below on both sides of it.
+    monkeypatch.setattr(field, "GRAM_BLOCK", block)
+    f = PrimeField(p)
+    rng = random.Random(p + 2)
+    for n in (0, 63, 64, 65, 3 * 64 + 5):
+        for rows in (
+            [[p - 1] * n, [p - 1] * n],
+            [[rng.randrange(p) for _ in range(n)] for _ in range(3)],
+        ):
+            expected = [[sum(x * y for x, y in zip(r, s)) % p for s in rows] for r in rows]
+            vecs = [np.array(r, dtype=np.uint64) for r in rows]
+            assert f.gram(vecs) == expected
+
+
+def test_gram_block_bound_and_guards():
+    # Limb products stay below 2**42; a full block of them fits uint64.
+    assert (2**21 - 1) ** 2 * field.GRAM_BLOCK < 2**64
+    f = PrimeField(17)
+    with pytest.raises(ValueError):
+        f.gram([np.array([17], dtype=np.uint64)])
+    with pytest.raises(ValueError):
+        f.gram([np.array([1, 2], dtype=np.uint64), np.array([1], dtype=np.uint64)])
+
+
+@pytest.mark.parametrize(
+    "rng, min_p_value",
+    # The system RNG is unseeded, so its threshold keeps false alarms negligible.
+    [(random.Random(41), 1e-3), (random.SystemRandom(), 1e-6)],
+)
+def test_random_vector_is_uniform_mod_17(rng, min_p_value):
+    f = PrimeField(17)
+    draws = f.random_vector(rng, 17 * 2000)
+    assert draws.dtype == np.uint64 and draws.size == 17 * 2000
+    counts = np.bincount(draws.astype(np.int64), minlength=17)
+    assert counts.size == 17  # no draw at or above p
+    assert scipy.stats.chisquare(counts).pvalue > min_p_value
+
+
+def test_random_vector_is_reproducible_when_seeded():
+    f = PrimeField()
+    a = f.random_vector(random.Random(5), 1000)
+    assert np.array_equal(a, f.random_vector(random.Random(5), 1000))
+    assert not np.array_equal(a, f.random_vector(random.Random(6), 1000))

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from sss_prnu import (
@@ -12,6 +13,7 @@ from sss_prnu import (
     capacity_check,
     decode,
     encode,
+    encode_vector,
     round_half_away,
 )
 
@@ -112,3 +114,36 @@ def test_exact_homomorphism_on_quantized_rationals():
         assert ea == FIELD.element(m) and eb == FIELD.element(k)
         assert decode(FIELD.add(ea, eb), s, FIELD) == (m + k) / s.scale
         assert decode(FIELD.mul(ea, eb), s, FIELD, denom_power=2) == (m * k) / s.scale**2
+
+
+def test_encode_vector_matches_scalar_rounding():
+    s = Scaling(1)
+    # Exact ties at +-.5 (dyadic, so x * 10 is exact), signed zero, and
+    # values that round across zero.
+    xs = [0.25, -0.25, 0.35, -0.35, 0.15, -0.15, 0.05, -0.05, 0.0, -0.0, 0.04, -0.04]
+    rng = random.Random(12)
+    xs += [rng.uniform(-1e6, 1e6) for _ in range(2000)]
+    got = encode_vector(np.array(xs), s, FIELD)
+    assert got.dtype == np.uint64
+    assert got.tolist() == [round_half_away(x * s.scale) % FIELD.p for x in xs]
+    assert got[:4].tolist() == [3, FIELD.p - 3, 4, FIELD.p - 4]
+    assert got[8] == 0 and got[9] == 0
+
+
+def test_encode_vector_range_edge():
+    # p = 257: the signed range ends at 128, so 12.8 fits and 12.9 does not.
+    f257 = PrimeField(257)
+    s = Scaling(1)
+    assert encode_vector(np.array([12.8, -12.8]), s, f257).tolist() == [128, 129]
+    for x in (12.9, -12.9, math.inf, math.nan):
+        with pytest.raises(OutOfRange):
+            encode_vector(np.array([0.0, x]), s, f257)
+    # Default prime: half = 2**60 - 1 has no float64 form, so the check
+    # must compare integers; 2**60 (one past half) is exactly representable.
+    assert FIELD.half == 2**60 - 1
+    below = float(2**60 - 2**7) / 10
+    assert encode_vector(np.array([below]), s, FIELD).tolist() == [2**60 - 2**7]
+    with pytest.raises(OutOfRange):
+        encode_vector(np.array([float(2**60) / 10]), s, FIELD)
+    with pytest.raises(OutOfRange):
+        encode_vector(np.array([-float(2**60) / 10]), s, FIELD)

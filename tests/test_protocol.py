@@ -1,6 +1,7 @@
 import random
 import socket
 import threading
+import time
 from itertools import combinations
 
 import numpy as np
@@ -10,6 +11,7 @@ from conftest import oracle_correlation
 from sss_prnu import (
     Centering,
     CloudServer,
+    DimensionMismatch,
     EnrollTimeout,
     FaultPlan,
     LocalCluster,
@@ -121,6 +123,43 @@ def test_query_unknown_id():
     base, _, _ = sample_pair(5)
     with pytest.raises(UnknownFingerprint):
         query_residual(base, "ghost", CFG, cluster.links, random.Random(1))
+
+
+def test_query_of_another_size_is_a_dimension_error():
+    cluster = make_cluster()
+    base, _, _ = sample_pair(16)
+    enroll(base, "cam", CFG, cluster.links, random.Random(1))
+    probe = np.random.default_rng(17).uniform(-1, 1, (8, 9))
+    with pytest.raises(DimensionMismatch, match="query has 72 elements"):
+        query_residual(probe, "cam", CFG, cluster.links, random.Random(2))
+    with pytest.raises(DimensionMismatch, match="enrolled with 64"):
+        verify_residual(probe, "cam", CFG, cluster.links, random.Random(3))
+
+
+def test_fan_out_sends_every_query_past_the_quorum():
+    # Queries fast enough to reach the quorum before the last request
+    # starts must still deliver that request to its server.
+    sent = {u: 0 for u in SCHEME.evaluation_points}
+    lock = threading.Lock()
+
+    def observer(point, direction, frame):
+        if direction == "send" and frame[4] == wire.MSG_QUERY:
+            with lock:
+                sent[point] += 1
+
+    cluster = make_cluster(observer=observer)
+    base, near, _ = sample_pair(20)
+    enroll(base, "cam", CFG, cluster.links, random.Random(1))
+    rng = random.Random(2)
+    for _ in range(50):
+        query_residual(near, "cam", CFG, cluster.links, rng)
+    deadline = time.monotonic() + 5.0
+    while time.monotonic() < deadline:
+        with lock:
+            if all(count == 50 for count in sent.values()):
+                break
+        time.sleep(0.005)
+    assert sent == {u: 50 for u in SCHEME.evaluation_points}
 
 
 def test_single_failure_leaves_result_identical():
@@ -345,7 +384,9 @@ def tcp_cluster():
     for u in SCHEME.evaluation_points:
         cloud = CloudServer(u, cfg)
         srv = TcpCloudServer(("127.0.0.1", 0), cloud)
-        threading.Thread(target=srv.serve_forever, daemon=True).start()
+        threading.Thread(
+            target=srv.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        ).start()
         servers.append(srv)
         links.append(TcpLink(u, srv.server_address, timeout_ms=5000))
     yield links

@@ -156,7 +156,16 @@ def test_elementwise_guards():
 def test_fresh_randomness_differs():
     a = share_vector([9, 9, 9], SMALL, random.Random(100))
     b = share_vector([9, 9, 9], SMALL, random.Random(200))
-    assert any(x.values != y.values for x, y in zip(a, b))
+    assert any(x != y for x, y in zip(a, b))
+
+
+def test_seeded_share_vector_is_reproducible_byte_for_byte():
+    scheme = ShareScheme(l=3, n=5)
+    secrets = list(range(0, 10**6, 997))
+    a = share_vector(secrets, scheme, random.Random(77))
+    b = share_vector(secrets, scheme, random.Random(77))
+    assert [serialize_share_vector(v) for v in a] == [serialize_share_vector(v) for v in b]
+    assert reconstruct_vector(a[:3], scheme) == secrets
 
 
 def test_serialization_layout():
