@@ -10,8 +10,18 @@ them elementwise (the single multiplication the sharing scheme allows),
 and sums locally; one exact Gram matrix of the two share vectors
 (`PrimeField.gram`) yields all three sums.  The resulting per-server
 partial sums are themselves shares of P, Q, R at the doubled degree, so
-a quorum of 2l-1 partials reconstructs the exact integer sums.  Only the final division and
-square root happen in plaintext, on the reconstructing side.
+a quorum of 2l-1 partials reconstructs the exact integer sums.  Only the
+final division and square root happen in plaintext, on the
+reconstructing side.
+
+Centering happens in one of two places.  With plaintext centering the
+data owner subtracts the mean before sharing.  With encrypted centering
+the shares carry raw values and each server applies the moment identity
+
+    N * sum(a_k * b_k) - sum(a_k) * sum(b_k)
+        = N * sum((a_k - mean a) * (b_k - mean b))
+
+to its Gram entries and share sums, so P, Q, R arrive scaled by N.
 
 All field values are exact fixed-point integers, so under the capacity
 bound the reconstructed sums equal the plaintext sums bit for bit.
@@ -27,7 +37,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .field import PrimeField
 from .fixedpoint import Centering, Scaling, capacity_check, encode_vector
 from .prnu import DegenerateInput
 from .sharing import (
@@ -48,26 +57,6 @@ class NegativeSquareSum(ValueError):
     Impossible for honest executions under the capacity bound; signals
     share tampering or an overflowing configuration.
     """
-
-
-@dataclass
-class EncryptedVector:
-    """One server's share of a matrix, plus how to decode it later.
-
-    max_abs is a public magnitude bound on the centered plaintext (with
-    rounding slack folded in); it travels with the share so the server
-    can re-run the capacity check before amplifying during centering.
-    """
-
-    share: ShareVector
-    scaling: Scaling
-    mode: Centering
-    centered: bool
-    max_abs: Optional[float] = None
-
-    @property
-    def point(self) -> int:
-        return self.share.point
 
 
 @dataclass(frozen=True)
@@ -102,94 +91,56 @@ def prepare_vector(
     scheme: ShareScheme,
     mode: Centering = Centering.PLAINTEXT,
     rng: Optional[random.Random] = None,
-) -> list[EncryptedVector]:
+) -> list[ShareVector]:
     """Encode a matrix into fixed point and split it into n share vectors.
 
     Plaintext centering subtracts the mean before encoding, so shares
     already represent the centered data.  Encrypted centering shares
-    the raw encodings and leaves centering to center_shares; the
-    capacity check then covers the element_count amplification that
-    centering will apply.
+    the raw encodings and leaves centering to the moment identity in
+    `compute_partials`; the capacity check then covers the element_count
+    amplification that identity carries.
     """
     flat = np.asarray(m, dtype=np.float64).ravel()
     if flat.size == 0:
         raise ValueError("cannot share an empty matrix")
-    count = int(flat.size)
     centered = flat - flat.mean()
     max_centered = float(np.max(np.abs(centered)))
     if mode is Centering.PLAINTEXT:
         # Half a unit of rounding slack per element, in plaintext units.
         bound = max_centered + 0.5 / s.scale
-        capacity_check(count, bound, s, scheme.field, mode)
-        ints = encode_vector(centered, s, scheme.field)
-        is_centered = True
+        source = centered
     else:
         # Centering over integers leaves up to one full unit of slack.
         bound = max_centered + 1.0 / s.scale
-        capacity_check(count, bound, s, scheme.field, mode)
-        ints = encode_vector(flat, s, scheme.field)
-        is_centered = False
-    return [
-        EncryptedVector(share=v, scaling=s, mode=mode, centered=is_centered, max_abs=bound)
-        for v in share_vector(ints, scheme, rng)
-    ]
-
-
-def center_shares(
-    v: EncryptedVector, element_count: int, scheme: ShareScheme
-) -> EncryptedVector:
-    """Server-side mean removal for encrypted-centering vectors.
-
-    Forms the share of the mean as inv(element_count) times the share
-    sum, subtracts it elementwise, then multiplies everything back by
-    element_count.  The scalar steps cancel the rational denominator,
-    so the result is shares of element_count * (x_k - mean), still at
-    the fresh degree.
-    """
-    if v.mode is not Centering.ENCRYPTED:
-        raise ValueError("center_shares applies only to encrypted-centering vectors")
-    if v.centered:
-        raise ValueError("vector is already centered")
-    if v.share.degree_hint != scheme.fresh_degree:
-        raise DegreeMismatch("centering must happen before any multiplication")
-    if element_count != len(v.share):
-        raise ValueError(
-            f"element_count {element_count} does not match vector length {len(v.share)}"
-        )
-    if v.max_abs is not None:
-        capacity_check(element_count, v.max_abs, v.scaling, scheme.field, v.mode)
-    f = scheme.field
-    mean_share = f.mul(f.sum_vec(v.share.values), f.inv(element_count))
-    # element_count * (x - mean) = x * element_count - mean * element_count
-    values = f.mul_scalar(
-        v.share.values, element_count, plus=f.neg(f.mul(mean_share, element_count))
-    )
-    centered = ShareVector(v.share.point, values, v.share.degree_hint)
-    return EncryptedVector(
-        share=centered, scaling=v.scaling, mode=v.mode, centered=True, max_abs=v.max_abs
-    )
+        source = flat
+    capacity_check(int(flat.size), bound, s, scheme.field, mode)
+    return share_vector(encode_vector(source, s, scheme.field), scheme, rng)
 
 
 def compute_partials(
-    a: EncryptedVector, b: EncryptedVector, scheme: ShareScheme
+    a: ShareVector, b: ShareVector, scheme: ShareScheme, mode: Centering
 ) -> PartialCorrelation:
     """One server's local work: three sums of elementwise share products.
 
     Runs entirely on one server's pair of shares; no other server's
-    data is involved.  Each sum uses exactly one share multiplication,
-    so the outputs carry the doubled degree.  One Gram matrix of the two
-    share vectors holds all three sums.
+    data is involved.  One Gram matrix of the two share vectors holds
+    the three raw sums.  Under encrypted centering the server applies
+    the moment identity N*sum(ab) - sum(a)*sum(b), which equals
+    N * sum((a - mean a)(b - mean b)); the share sums are fresh-degree,
+    so each term is still a single share multiplication and the
+    outputs carry the doubled degree either way.
     """
-    if not a.centered or not b.centered:
-        raise ValueError("both vectors must be centered before correlation")
-    if a.mode is not b.mode:
-        raise ValueError("cannot mix centering modes within one correlation")
-    if a.scaling != b.scaling:
-        raise ValueError("cannot mix scalings within one correlation")
-    check_product_operands(a.share, b.share, scheme)
-    (aa, ab), (_, bb) = scheme.field.gram([a.share.values, b.share.values])
+    check_product_operands(a, b, scheme)
+    f = scheme.field
+    (aa, ab), (_, bb) = f.gram([a.values, b.values])
+    if mode is Centering.ENCRYPTED:
+        count = len(a)
+        sa, sb = f.sum_vec(a.values), f.sum_vec(b.values)
+        ab = f.sub(f.mul(count, ab), f.mul(sa, sb))
+        aa = f.sub(f.mul(count, aa), f.mul(sa, sa))
+        bb = f.sub(f.mul(count, bb), f.mul(sb, sb))
     return PartialCorrelation(
-        point=a.share.point,
+        point=a.point,
         p_share=ab,
         q_share=aa,
         r_share=bb,
@@ -228,10 +179,9 @@ def reconstruct_partials(
 ) -> tuple[float, float, float]:
     """Three Lagrange reconstructions, decoded back to real sums.
 
-    Products carry the squared scale; encrypted centering additionally
-    multiplied each vector by element_count, so its products carry an
-    element_count**2 factor as well.  Decoding is a single exact
-    integer-by-integer division per sum.
+    Products carry the squared scale; the moment identity of encrypted
+    centering leaves an element_count factor in each sum as well.
+    Decoding is a single exact integer-by-integer division per sum.
     """
     p_int, q_int, r_int = reconstruct_sum_ints(parts, scheme)
     if q_int < 0 or r_int < 0:
@@ -240,7 +190,7 @@ def reconstruct_partials(
         )
     denom = scaling.scale**2
     if mode is Centering.ENCRYPTED:
-        denom *= element_count**2
+        denom *= element_count
     return p_int / denom, q_int / denom, r_int / denom
 
 

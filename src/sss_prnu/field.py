@@ -235,8 +235,9 @@ class PrimeField:
 
         x may hold any value below 2**64.  `w` is one residue, or a
         sequence of residues, one per row of the result (a 1-D x is then
-        used for every row).  `plus`, if given, holds canonical residues
-        that broadcast against the result.
+        used for every row).  `plus`, if given, is a vector or matrix of
+        canonical residues, one per column, that broadcasts against the
+        result.
         """
         p = self.p
         single = isinstance(w, (int, np.integer))
@@ -262,7 +263,7 @@ class PrimeField:
                 x[..., part],
                 multiplier,
                 pv,
-                plus if plus is None or plus.ndim == 0 else plus[..., part],
+                None if plus is None else plus[..., part],
                 out[..., part],
                 scratch[..., : min(cols, out.shape[-1] - start)],
             )

@@ -25,9 +25,9 @@ class Centering(enum.Enum):
     """Where mean subtraction happens.
 
     PLAINTEXT: the data owner centers the matrix before encoding.
-    ENCRYPTED: raw values are shared and each server centers its own
-    shares homomorphically, clearing the 1/n mean denominator by
-    multiplying everything by the element count.
+    ENCRYPTED: raw values are shared and each server centers inside its
+    sums by the moment identity N*sum(ab) - sum(a)*sum(b), which avoids
+    the 1/N mean denominator at the cost of one factor N in each sum.
     """
 
     PLAINTEXT = "plaintext"
@@ -131,16 +131,16 @@ def capacity_check(
 
     max_abs is the largest centered magnitude in real units.  Each of
     the three sums is bounded by num_elements * (10**d * max_abs)**2.
-    Encrypted-side centering multiplies every share by num_elements to
-    clear the mean denominator, which squares into an extra
-    num_elements**2 factor.
+    Encrypted-side centering computes N*sum(ab) - sum(a)*sum(b), which is
+    num_elements times the centered sum, so the bound gains one more
+    num_elements factor.
 
     Returns the report on success, raises CapacityExceeded otherwise.
     """
     per_element = s.scale * max_abs
     required = num_elements * per_element**2
     if centering is Centering.ENCRYPTED:
-        required *= num_elements**2
+        required *= num_elements
     bound = field.half
     margin = math.inf if required == 0 else bound / required
     report = CapacityReport(bound=bound, required=required, margin=margin)

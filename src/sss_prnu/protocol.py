@@ -22,6 +22,7 @@ either way.
 
 from __future__ import annotations
 
+import logging
 import os
 import random
 import socket
@@ -37,10 +38,8 @@ import numpy as np
 
 from . import wire
 from .correlation import (
-    EncryptedVector,
     MatchResult,
     PartialCorrelation,
-    center_shares,
     compute_partials,
     deserialize_partial,
     finalize,
@@ -59,6 +58,8 @@ from .sharing import (
     interpolate_vector,
     serialize_share_vector,
 )
+
+_log = logging.getLogger(__name__)
 
 
 class ProtocolError(Exception):
@@ -107,15 +108,10 @@ class ProtocolConfig:
     mode: Centering = Centering.PLAINTEXT
     denoiser: GaussianDenoiser = dc_field(default_factory=GaussianDenoiser)
     timeout_ms: int = 5000
-    endpoints: Optional[tuple[tuple[str, int], ...]] = None
 
     def __post_init__(self) -> None:
         if self.timeout_ms <= 0:
             raise ValueError("timeout must be positive")
-        if self.endpoints is not None and len(self.endpoints) != self.scheme.n:
-            raise ValueError(
-                f"{len(self.endpoints)} endpoints for {self.scheme.n} servers"
-            )
 
     @property
     def quorum(self) -> int:
@@ -126,8 +122,10 @@ class ServerStore:
     """One server's share database: fingerprint id -> ShareVector.
 
     Optionally persistent: one file per id under `directory`, named by
-    the hex of the id so arbitrary ids stay filesystem-safe.  All
-    mutations go through one lock.
+    the hex of the id so arbitrary ids stay filesystem-safe.  A file
+    whose name or contents do not parse is logged and skipped, so one
+    bad file cannot keep the server from starting.  All mutations go
+    through one lock.
     """
 
     def __init__(self, point: int, directory: Optional[str] = None):
@@ -140,9 +138,12 @@ class ServerStore:
             for name in os.listdir(directory):
                 if not name.endswith(".share"):
                     continue
-                fid = bytes.fromhex(name[: -len(".share")]).decode("utf-8")
-                with open(os.path.join(directory, name), "rb") as fh:
-                    self._vectors[fid] = deserialize_share_vector(fh.read())
+                try:
+                    fid = bytes.fromhex(name[: -len(".share")]).decode("utf-8")
+                    with open(os.path.join(directory, name), "rb") as fh:
+                        self._vectors[fid] = deserialize_share_vector(fh.read())
+                except ValueError as exc:
+                    _log.warning("skipping share file %s in %s: %s", name, directory, exc)
 
     def _path(self, fid: str) -> str:
         return os.path.join(self.directory, fid.encode("utf-8").hex() + ".share")
@@ -237,14 +238,7 @@ class CloudServer:
             raise wire.FrameError(
                 f"query has {len(qvec)} elements but id {fid!r} was enrolled with {len(stored)}"
             )
-        cfg = self.cfg
-        pre_centered = cfg.mode is Centering.PLAINTEXT
-        a = EncryptedVector(stored, cfg.scaling, cfg.mode, centered=pre_centered)
-        b = EncryptedVector(qvec, cfg.scaling, cfg.mode, centered=pre_centered)
-        if cfg.mode is Centering.ENCRYPTED:
-            a = center_shares(a, len(a.share), cfg.scheme)
-            b = center_shares(b, len(b.share), cfg.scheme)
-        pc = compute_partials(a, b, cfg.scheme)
+        pc = compute_partials(stored, qvec, self.cfg.scheme, self.cfg.mode)
         return wire.MSG_PARTIAL, serialize_partial(pc)
 
     def _fetch(self, payload: bytes) -> tuple[int, bytes]:
@@ -447,9 +441,7 @@ def enroll(
     never lingers.
     """
     _check_links(links, cfg)
-    vectors = [
-        ev.share for ev in prepare_vector(fingerprint, cfg.scaling, cfg.scheme, cfg.mode, rng)
-    ]
+    vectors = prepare_vector(fingerprint, cfg.scaling, cfg.scheme, cfg.mode, rng)
     acked: list = []
     failed: list[int] = []
     for link, vec in zip(links, vectors):
@@ -593,7 +585,7 @@ def query_residual(
     """Correlate an already-extracted residual against an enrolled id."""
     _check_links(links, cfg)
     flat = np.asarray(residual, dtype=np.float64).ravel()
-    vectors = [ev.share for ev in prepare_vector(flat, cfg.scaling, cfg.scheme, cfg.mode, rng)]
+    vectors = prepare_vector(flat, cfg.scaling, cfg.scheme, cfg.mode, rng)
     parts, unknown, malformed = _fan_out(links, vectors, fid, cfg, stop_at=cfg.quorum)
     if len(parts) < cfg.quorum:
         raise _no_quorum(len(parts), unknown, malformed, cfg)
@@ -686,17 +678,11 @@ def _audit_partials(
     instead).
     """
     suspects: set[int] = set()
-    pre_centered = cfg.mode is Centering.PLAINTEXT
     for u, pc in received.items():
         if u not in fetched or u not in sent:
             continue
         try:
-            a = EncryptedVector(fetched[u], cfg.scaling, cfg.mode, centered=pre_centered)
-            b = EncryptedVector(sent[u], cfg.scaling, cfg.mode, centered=pre_centered)
-            if cfg.mode is Centering.ENCRYPTED:
-                a = center_shares(a, len(a.share), cfg.scheme)
-                b = center_shares(b, len(b.share), cfg.scheme)
-            expected = compute_partials(a, b, cfg.scheme)
+            expected = compute_partials(fetched[u], sent[u], cfg.scheme, cfg.mode)
         except Exception:
             suspects.add(u)
             continue
@@ -730,7 +716,7 @@ def verify_residual(
             "with n equal to the quorum there is a single subset and nothing to compare"
         )
     flat = np.asarray(residual, dtype=np.float64).ravel()
-    vectors = [ev.share for ev in prepare_vector(flat, cfg.scaling, scheme, cfg.mode, rng)]
+    vectors = prepare_vector(flat, cfg.scaling, scheme, cfg.mode, rng)
     sent = {vec.point: vec for vec in vectors}
     parts, unknown, malformed = _fan_out(links, vectors, fid, cfg, stop_at=None)
     if len(parts) < cfg.quorum:
@@ -834,8 +820,3 @@ class TcpCloudServer(socketserver.ThreadingTCPServer):
         super().__init__(address, _FrameHandler)
         self.cloud_server = cloud_server
 
-
-def run_server(cloud_server: CloudServer, address: tuple[str, int]) -> None:
-    """Serve one share point forever; blocks the calling thread."""
-    with TcpCloudServer(address, cloud_server) as srv:
-        srv.serve_forever()

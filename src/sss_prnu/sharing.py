@@ -73,7 +73,6 @@ class ShareScheme:
     n: int
     field: PrimeField = dc_field(default_factory=PrimeField)
     evaluation_points: Optional[tuple[int, ...]] = None
-    rng_seed: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.l < 2:
@@ -108,12 +107,6 @@ class ShareScheme:
     def quorum(self) -> int:
         """Shares needed to reconstruct after the one multiplication."""
         return 2 * self.l - 1
-
-    def make_rng(self) -> random.Random:
-        """Seeded RNG when rng_seed is set, system entropy otherwise."""
-        if self.rng_seed is None:
-            return random.SystemRandom()
-        return random.Random(self.rng_seed)
 
 
 @dataclass(frozen=True)

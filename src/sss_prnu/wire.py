@@ -32,10 +32,6 @@ MSG_FETCH = 0x05
 MSG_SHARE = 0x06
 MSG_ERROR = 0x7F
 
-KNOWN_TYPES = frozenset(
-    {MSG_ENROLL, MSG_ENROLL_ACK, MSG_QUERY, MSG_PARTIAL, MSG_FETCH, MSG_SHARE, MSG_ERROR}
-)
-
 ERR_MALFORMED = 1
 ERR_UNKNOWN_ID = 2
 ERR_INTERNAL = 3

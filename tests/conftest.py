@@ -4,6 +4,10 @@ The quantized oracle recomputes the correlation sums with plain Python
 integers, completely outside the field/share machinery, then decodes
 with the same single division the pipeline uses.  Under the capacity
 bound the pipeline must reproduce these values bit for bit.
+
+For encrypted centering the oracle centers each element explicitly as
+N*m_k - sum(m), so it does not share the moment identity the servers
+use; its sums then carry N**2 and are divided exactly by N.
 """
 
 import math
@@ -34,10 +38,17 @@ def oracle_sums(
         sa, sb = sum(ma), sum(mb)
         a = [count * v - sa for v in ma]
         b = [count * v - sb for v in mb]
-        denom = scaling.scale**2 * count**2
-    p_int = sum(u * v for u, v in zip(a, b))
-    q_int = sum(u * u for u in a)
-    r_int = sum(v * v for v in b)
+        denom = scaling.scale**2 * count
+    sums = (
+        sum(u * v for u, v in zip(a, b)),
+        sum(u * u for u in a),
+        sum(v * v for v in b),
+    )
+    if mode is Centering.ENCRYPTED:
+        exact = [divmod(total, count) for total in sums]
+        assert all(remainder == 0 for _, remainder in exact)
+        sums = tuple(quotient for quotient, _ in exact)
+    p_int, q_int, r_int = sums
     return p_int, q_int, r_int, denom
 
 

@@ -52,7 +52,7 @@ def encrypted_r(x, y, rng):
     reconstruct from the first quorum."""
     ex = prepare_vector(x, S4, SCHEME, Centering.PLAINTEXT, rng)
     ey = prepare_vector(y, S4, SCHEME, Centering.PLAINTEXT, rng)
-    parts = [compute_partials(a, b, SCHEME) for a, b in zip(ex, ey)]
+    parts = [compute_partials(a, b, SCHEME, Centering.PLAINTEXT) for a, b in zip(ex, ey)]
     p_val, q_val, r_val = reconstruct_partials(
         parts[: SCHEME.quorum], SCHEME, S4, Centering.PLAINTEXT, x.size
     )
@@ -121,8 +121,7 @@ def test_criterion_3_tampered_server_identified_in_95_of_100_trials():
 
 def test_criterion_4_product_needs_quorum_and_is_exact():
     f = SCHEME.field
-    rng = SCHEME.make_rng()
-    rng.seed(404)
+    rng = random.Random(404)
     l_only_disagreements = 0
     for _ in range(10_000):
         a = rng.randrange(f.p)

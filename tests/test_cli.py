@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import sss_prnu
 from sss_prnu import (
     GaussianDenoiser,
     ServerStore,
@@ -298,12 +299,16 @@ def request_once(address, ftype, payload):
 
 
 def test_serve_subprocess(tmp_path):
+    # The child imports the same package as this process, installed or not.
+    src = os.path.dirname(os.path.dirname(sss_prnu.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.Popen(
         [sys.executable, "-m", "sss_prnu", "serve", "--point", "1",
          "--listen", "127.0.0.1:0", "--store", str(tmp_path / "store")],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     try:
         address = None

@@ -9,14 +9,15 @@ from sss_prnu import (
     CapacityExceeded,
     Centering,
     DegenerateInput,
-    EncryptedVector,
+    DegreeOverflow,
     InsufficientShares,
+    LengthMismatch,
     NegativeSquareSum,
+    PointMismatch,
     PrimeField,
     Scaling,
     ShareScheme,
     ShareVector,
-    center_shares,
     compute_partials,
     deserialize_partial,
     finalize,
@@ -37,14 +38,10 @@ def run_pipeline(x, y, scaling, mode, scheme=SCHEME, rng=None, subset=None):
     rng = rng if rng is not None else random.Random(0)
     ex = prepare_vector(x, scaling, scheme, mode, rng)
     ey = prepare_vector(y, scaling, scheme, mode, rng)
-    count = len(ex[0].share)
-    if mode is Centering.ENCRYPTED:
-        ex = [center_shares(v, count, scheme) for v in ex]
-        ey = [center_shares(v, count, scheme) for v in ey]
-    parts = [compute_partials(a, b, scheme) for a, b in zip(ex, ey)]
+    parts = [compute_partials(a, b, scheme, mode) for a, b in zip(ex, ey)]
     chosen = parts[: scheme.quorum] if subset is None else [parts[i] for i in subset]
     ints = reconstruct_sum_ints(chosen, scheme)
-    p_val, q_val, r_val = reconstruct_partials(chosen, scheme, scaling, mode, count)
+    p_val, q_val, r_val = reconstruct_partials(chosen, scheme, scaling, mode, len(ex[0]))
     return finalize(p_val, q_val, r_val, 0.5), ints
 
 
@@ -63,13 +60,13 @@ def test_pipeline_matches_quantized_oracle_exactly(mode):
 
 
 def test_prepare_zero_matrix_reconstructs_zero():
-    vectors = [ev.share for ev in prepare_vector(np.zeros((3, 3)), S4, SCHEME)]
+    vectors = prepare_vector(np.zeros((3, 3)), S4, SCHEME)
     assert reconstruct_vector(vectors[:2], SCHEME) == [0] * 9
 
 
 def test_prepare_known_values_reconstruct_to_centered_encoding():
     m = np.array([[0.1, 0.2], [0.3, 0.4]])
-    vectors = [ev.share for ev in prepare_vector(m, S4, SCHEME, rng=random.Random(1))]
+    vectors = prepare_vector(m, S4, SCHEME, rng=random.Random(1))
     f = SCHEME.field
     got = [f.signed(v) for v in reconstruct_vector(vectors[:2], SCHEME)]
     assert got == [-1500, -500, 500, 1500]
@@ -79,7 +76,7 @@ def test_prepare_fresh_randomness_differs():
     m = np.array([[0.1, 0.2], [0.3, 0.4]])
     a = prepare_vector(m, S4, SCHEME, rng=random.Random(5))
     b = prepare_vector(m, S4, SCHEME, rng=random.Random(6))
-    assert any(x.share != y.share for x, y in zip(a, b))
+    assert any(x != y for x, y in zip(a, b))
 
 
 def test_prepare_rejects_empty_and_oversized():
@@ -90,63 +87,58 @@ def test_prepare_rejects_empty_and_oversized():
         prepare_vector(huge * np.random.default_rng(2).uniform(0.5, 1, (64, 64)), Scaling(8), SCHEME)
 
 
-def test_center_shares_reference_example():
-    # (1, -1) at d=0 with 2 elements centers to 2*(x - mean) = (2, -2).
-    s0 = Scaling(1)  # d=1: values 1.0 and -1.0 encode to 10 and -10
+def encrypted_sum_ints(x, y, scaling, rng):
+    """Integer (P, Q, R) of the moment identity, from the first quorum."""
+    ex = prepare_vector(x, scaling, SCHEME, Centering.ENCRYPTED, rng)
+    ey = prepare_vector(y, scaling, SCHEME, Centering.ENCRYPTED, rng)
+    parts = [compute_partials(a, b, SCHEME, Centering.ENCRYPTED) for a, b in zip(ex, ey)]
+    return reconstruct_sum_ints(parts[: SCHEME.quorum], SCHEME)
+
+
+def test_moment_identity_reference_example():
+    # (1, -1) at d=1 encodes to (10, -10): N=2, sums 0, so each sum is
+    # N * sum(ab) = 2 * 200 = 400, which is N times the centered 200.
     m = np.array([1.0, -1.0])
-    vectors = prepare_vector(m, s0, SCHEME, Centering.ENCRYPTED, random.Random(2))
-    centered = [center_shares(v, 2, SCHEME) for v in vectors]
-    f = SCHEME.field
-    got = [f.signed(v) for v in reconstruct_vector([c.share for c in centered[:2]], SCHEME)]
-    assert got == [20, -20]  # 2 * (x_k - 0) in tenths
+    assert encrypted_sum_ints(m, m, Scaling(1), random.Random(2)) == (400, 400, 400)
+    assert encrypted_sum_ints(m, -m, Scaling(1), random.Random(3)) == (-400, 400, 400)
+    # Shifting by 0.5 gives (15, -5), sum 10: 2 * 250 - 10 * 10 = 400 again.
+    assert encrypted_sum_ints(m + 0.5, m, Scaling(1), random.Random(4)) == (400, 400, 400)
 
 
-def test_center_shares_constant_vector_zeroes():
+def test_moment_identity_constant_vector_is_degenerate():
     m = np.full(5, 3.25)
-    vectors = prepare_vector(m, S4, SCHEME, Centering.ENCRYPTED, random.Random(3))
-    centered = center_shares(vectors[0], 5, SCHEME)
-    others = [center_shares(v, 5, SCHEME) for v in vectors[1:3]]
-    rec = reconstruct_vector([centered.share] + [c.share for c in others[:1]], SCHEME)
-    assert rec == [0] * 5
+    other = np.array([0.5, -1.0, 2.0, 0.25, -0.75])
+    p_int, q_int, r_int = encrypted_sum_ints(m, other, S4, random.Random(3))
+    assert p_int == q_int == 0
+    assert r_int > 0
+    with pytest.raises(DegenerateInput):
+        run_pipeline(m, other, S4, Centering.ENCRYPTED)
 
 
 def test_centered_values_sum_to_zero():
+    # Against a constant vector the cross term is N * sum(x_k - mean) * c,
+    # which is zero exactly when the centered values sum to zero.
     gen = np.random.default_rng(11)
     m = gen.uniform(-2, 2, 7)
-    vectors = prepare_vector(m, S4, SCHEME, Centering.ENCRYPTED, random.Random(4))
-    centered = [center_shares(v, 7, SCHEME) for v in vectors]
-    rec = reconstruct_vector([c.share for c in centered[:2]], SCHEME)
-    f = SCHEME.field
-    assert sum(f.signed(v) for v in rec) == 0
+    p_int, _, r_int = encrypted_sum_ints(m, np.full(7, 1.5), S4, random.Random(4))
+    assert p_int == 0 and r_int == 0
 
 
-def test_center_shares_guards():
-    m = np.array([1.0, 2.0])
-    plain = prepare_vector(m, S4, SCHEME, Centering.PLAINTEXT, random.Random(5))
-    with pytest.raises(ValueError):
-        center_shares(plain[0], 2, SCHEME)
-    enc = prepare_vector(m, S4, SCHEME, Centering.ENCRYPTED, random.Random(6))
-    once = center_shares(enc[0], 2, SCHEME)
-    with pytest.raises(ValueError):
-        center_shares(once, 2, SCHEME)
-    with pytest.raises(ValueError):
-        center_shares(enc[1], 3, SCHEME)
-
-
-def test_compute_partials_requires_centering_and_matching_config():
-    m = np.array([0.5, -0.5])
-    enc = prepare_vector(m, S4, SCHEME, Centering.ENCRYPTED, random.Random(7))
-    with pytest.raises(ValueError):
-        compute_partials(enc[0], enc[0], SCHEME)  # not yet centered
-    plain_a = prepare_vector(m, S4, SCHEME, Centering.PLAINTEXT, random.Random(8))
-    plain_b = prepare_vector(m, Scaling(3), SCHEME, Centering.PLAINTEXT, random.Random(9))
-    with pytest.raises(ValueError):
-        compute_partials(plain_a[0], plain_b[0], SCHEME)  # scaling differs
+def test_compute_partials_guards_operands_in_both_modes():
+    for mode in Centering:
+        a = prepare_vector(np.array([0.5, -0.5]), S4, SCHEME, mode, random.Random(7))
+        b = prepare_vector(np.array([0.5, -0.5, 1.0]), S4, SCHEME, mode, random.Random(8))
+        with pytest.raises(PointMismatch):
+            compute_partials(a[0], a[1], SCHEME, mode)
+        with pytest.raises(LengthMismatch):
+            compute_partials(a[0], b[0], SCHEME, mode)
+        with pytest.raises(DegreeOverflow):
+            compute_partials(mul_shares(a[0], a[0], SCHEME), a[0], SCHEME, mode)
 
 
 def test_all_zero_inputs_give_zero_sums():
     z = prepare_vector(np.zeros(4), S4, SCHEME, rng=random.Random(10))
-    parts = [compute_partials(v, v, SCHEME) for v in z]
+    parts = [compute_partials(v, v, SCHEME, Centering.PLAINTEXT) for v in z]
     assert reconstruct_sum_ints(parts[:3], SCHEME) == (0, 0, 0)
 
 
@@ -154,7 +146,7 @@ def test_self_correlation_p_equals_q_equals_r():
     gen = np.random.default_rng(12)
     x = gen.uniform(-1, 1, (6, 6))
     ex = prepare_vector(x, S4, SCHEME, rng=random.Random(11))
-    parts = [compute_partials(v, v, SCHEME) for v in ex]
+    parts = [compute_partials(v, v, SCHEME, Centering.PLAINTEXT) for v in ex]
     p, q, r = reconstruct_sum_ints(parts[:3], SCHEME)
     assert p == q == r
     result, _ = run_pipeline(x, x, S4, Centering.PLAINTEXT)
@@ -193,7 +185,7 @@ def test_insufficient_partials():
     gen = np.random.default_rng(14)
     x = gen.uniform(-1, 1, (4, 4))
     ex = prepare_vector(x, S4, SCHEME, rng=random.Random(12))
-    parts = [compute_partials(v, v, SCHEME) for v in ex]
+    parts = [compute_partials(v, v, SCHEME, Centering.PLAINTEXT) for v in ex]
     with pytest.raises(InsufficientShares):
         reconstruct_partials(parts[:2], SCHEME, S4, Centering.PLAINTEXT, x.size)
 
@@ -202,18 +194,16 @@ def test_one_multiplication_discipline():
     gen = np.random.default_rng(15)
     x = gen.uniform(-1, 1, (4, 4))
     ex = prepare_vector(x, S4, SCHEME, rng=random.Random(13))
-    prod = mul_shares(ex[0].share, ex[0].share, SCHEME)
-    from sss_prnu import DegreeOverflow
-
+    prod = mul_shares(ex[0], ex[0], SCHEME)
     with pytest.raises(DegreeOverflow):
-        mul_shares(prod, ex[0].share, SCHEME)
+        mul_shares(prod, ex[0], SCHEME)
 
 
 def test_negative_square_sum_detection():
     gen = np.random.default_rng(16)
     x = gen.uniform(-1, 1, (4, 4))
     ex = prepare_vector(x, S4, SCHEME, rng=random.Random(14))
-    parts = [compute_partials(v, v, SCHEME) for v in ex]
+    parts = [compute_partials(v, v, SCHEME, Centering.PLAINTEXT) for v in ex]
     f = SCHEME.field
     # Force the reconstructed Q negative by shifting one q_share.
     q_int = reconstruct_sum_ints(parts[:3], SCHEME)[1]
@@ -254,7 +244,7 @@ def test_partial_serialization_roundtrip():
     gen = np.random.default_rng(18)
     x = gen.uniform(-1, 1, (4, 4))
     ex = prepare_vector(x, S4, SCHEME, rng=random.Random(15))
-    pc = compute_partials(ex[2], ex[2], SCHEME)
+    pc = compute_partials(ex[2], ex[2], SCHEME, Centering.PLAINTEXT)
     raw = serialize_partial(pc)
     assert len(raw) == 32
     assert raw[:8] == (pc.point).to_bytes(8, "big")
@@ -264,11 +254,15 @@ def test_partial_serialization_roundtrip():
 
 
 def test_encrypted_mode_needs_capacity_headroom():
-    # 64x64 unit-bounded data fits with plaintext centering but not
-    # with share-side centering at d=4.
-    gen = np.random.default_rng(19)
-    m = gen.uniform(-1, 1, (64, 64))
-    m[0, 0] = 1.0  # pin the max so the bound is tight
-    prepare_vector(m, S4, SCHEME, Centering.PLAINTEXT, random.Random(16))
+    # Unit-bounded data at d=4 (a +-1 checkerboard pins the max): the
+    # moment identity's extra factor N caps encrypted centering at
+    # 327x327, while plaintext centering still fits the next side.
+    def unit(side):
+        i, j = np.indices((side, side))
+        return np.where((i + j) % 2 == 0, 1.0, -1.0)
+
+    shares = prepare_vector(unit(327), S4, SCHEME, Centering.ENCRYPTED, random.Random(17))
+    assert len(shares[0]) == 327 * 327
+    prepare_vector(unit(328), S4, SCHEME, Centering.PLAINTEXT, random.Random(16))
     with pytest.raises(CapacityExceeded):
-        prepare_vector(m, S4, SCHEME, Centering.ENCRYPTED, random.Random(17))
+        prepare_vector(unit(328), S4, SCHEME, Centering.ENCRYPTED, random.Random(18))

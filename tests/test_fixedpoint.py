@@ -92,13 +92,14 @@ def test_capacity_overflow():
 
 
 def test_capacity_encrypted_mode_amplification():
-    # The same load that fits with plaintext centering can overflow
-    # once the element-count amplification of share-side centering
-    # enters the product.
-    capacity_check(4096, 1.0, Scaling(4), FIELD, Centering.PLAINTEXT)
+    # Encrypted centering multiplies the bound by one more factor N:
+    # unit data at d=4 needs N**2 * 10**8 <= (p-1)/2, so the last square
+    # side that fits is 327 (N = 106929) and the next one overflows.
+    report = capacity_check(327 * 327, 1.0, Scaling(4), FIELD, Centering.ENCRYPTED)
+    assert report.required == (327 * 327) ** 2 * 10**8
     with pytest.raises(CapacityExceeded):
-        capacity_check(4096, 1.0, Scaling(4), FIELD, Centering.ENCRYPTED)
-    capacity_check(256, 1.0, Scaling(4), FIELD, Centering.ENCRYPTED)
+        capacity_check(328 * 328, 1.0, Scaling(4), FIELD, Centering.ENCRYPTED)
+    capacity_check(328 * 328, 1.0, Scaling(4), FIELD, Centering.PLAINTEXT)
 
 
 def test_exact_homomorphism_on_quantized_rationals():

@@ -55,8 +55,6 @@ def sample_pair(seed=0, shape=(8, 8)):
 def test_config_validation():
     with pytest.raises(ValueError):
         ProtocolConfig(scheme=SCHEME, threshold=0.5, timeout_ms=0)
-    with pytest.raises(ValueError):
-        ProtocolConfig(scheme=SCHEME, threshold=0.5, endpoints=(("h", 1),))
     assert CFG.quorum == 3
 
 
@@ -207,13 +205,16 @@ def test_liveness_exhaustive_wider_scheme():
 
 
 def test_encrypted_centering_mode_end_to_end():
+    # 64x64 unit data at d=4 is past what a separate N**2 centering pass
+    # could hold; the moment identity's single factor N fits it.
     cfg = ProtocolConfig(scheme=SCHEME, threshold=0.5, mode=Centering.ENCRYPTED)
     cluster = make_cluster(cfg)
-    base, near, _ = sample_pair(9, shape=(8, 8))
+    base, near, _ = sample_pair(9, shape=(64, 64))
     enroll(base, "cam", cfg, cluster.links, random.Random(1))
     res = query_residual(near, "cam", cfg, cluster.links, random.Random(2))
     r, p_val, q_val, r_val = oracle_correlation(base, near, cfg.scaling, cfg.mode)
     assert (res.r, res.p_val, res.q_val, res.r_val) == (r, p_val, q_val, r_val)
+    assert verify_residual(near, "cam", cfg, cluster.links, random.Random(3)).consistent
 
 
 def test_verify_consistent_when_honest():
@@ -229,14 +230,17 @@ def test_verify_consistent_when_honest():
 
 
 def test_verify_identifies_tampered_store():
-    cluster = make_cluster()
-    base, near, _ = sample_pair(11)
-    enroll(base, "cam", CFG, cluster.links, random.Random(1))
-    cluster.tamper_stored(2, "cam", flip_one_element(random.Random(5), SCHEME.field.p))
-    report = verify_residual(near, "cam", CFG, cluster.links, random.Random(2))
-    assert not report.consistent
-    assert report.suspects == (2,)
-    assert set(report.implicated[2]) == {(1, 2, 3), (1, 2, 4), (2, 3, 4)}
+    # Both modes, so the partials audit also replays the moment identity.
+    for mode in Centering:
+        cfg = ProtocolConfig(scheme=SCHEME, threshold=0.5, mode=mode)
+        cluster = make_cluster(cfg)
+        base, near, _ = sample_pair(11)
+        enroll(base, "cam", cfg, cluster.links, random.Random(1))
+        cluster.tamper_stored(2, "cam", flip_one_element(random.Random(5), SCHEME.field.p))
+        report = verify_residual(near, "cam", cfg, cluster.links, random.Random(2))
+        assert not report.consistent
+        assert report.suspects == (2,)
+        assert set(report.implicated[2]) == {(1, 2, 3), (1, 2, 4), (2, 3, 4)}
 
 
 def test_verify_identifies_lying_computation():
@@ -259,15 +263,17 @@ def test_verify_identifies_lying_computation():
         def close(self):
             self.inner.close()
 
-    cluster = make_cluster()
-    base, near, _ = sample_pair(12)
-    enroll(base, "cam", CFG, cluster.links, random.Random(1))
-    links = list(cluster.links)
-    links[3] = LyingLink(links[3])
-    report = verify_residual(near, "cam", CFG, links, random.Random(2))
-    assert not report.consistent
-    assert report.suspects == (4,)
-    assert set(report.implicated[4]) == {(1, 2, 4), (1, 3, 4), (2, 3, 4)}
+    for mode in Centering:
+        cfg = ProtocolConfig(scheme=SCHEME, threshold=0.5, mode=mode)
+        cluster = make_cluster(cfg)
+        base, near, _ = sample_pair(12)
+        enroll(base, "cam", cfg, cluster.links, random.Random(1))
+        links = list(cluster.links)
+        links[3] = LyingLink(links[3])
+        report = verify_residual(near, "cam", cfg, links, random.Random(2))
+        assert not report.consistent
+        assert report.suspects == (4,)
+        assert set(report.implicated[4]) == {(1, 2, 4), (1, 3, 4), (2, 3, 4)}
 
 
 def test_verify_needs_spare_servers():
@@ -325,6 +331,22 @@ def test_store_persistence(tmp_path):
     assert reloaded.get("cam-a") == vec
     assert reloaded.get("cam-b") is None
     assert reloaded.ids() == ["cam-a"]
+
+
+def test_store_skips_unreadable_files(tmp_path, caplog):
+    good = ShareVector(2, [3, 1, 4], 1)
+    ServerStore(2, str(tmp_path)).put("cam-a", good)
+    truncated = "cam-b".encode("utf-8").hex() + ".share"
+    (tmp_path / truncated).write_bytes(b"\x00\x01")
+    (tmp_path / "not-hex.share").write_bytes(b"")
+    (tmp_path / ("ff" + ".share")).write_bytes(b"")  # hex, but not utf-8
+    with caplog.at_level("WARNING", logger="sss_prnu.protocol"):
+        reloaded = ServerStore(2, str(tmp_path))
+    assert reloaded.ids() == ["cam-a"]
+    assert reloaded.get("cam-a") == good
+    warned = " ".join(record.getMessage() for record in caplog.records)
+    for name in (truncated, "not-hex.share", "ff.share"):
+        assert name in warned
 
 
 def test_cluster_persistence_across_restart(tmp_path):
