@@ -41,12 +41,10 @@ from .fixedpoint import Centering, Scaling, capacity_check, encode_vector
 from .prnu import DegenerateInput
 from .sharing import (
     DegreeMismatch,
-    DuplicatePoint,
-    InsufficientShares,
     ShareScheme,
     ShareVector,
     check_product_operands,
-    interpolate_vector,
+    reconstruct_vector,
     share_vector,
 )
 
@@ -155,18 +153,17 @@ def reconstruct_sum_ints(
 
     The integer level is what consistency auditing compares: honest
     quorum subsets agree on these exactly, before any float decoding.
+    The three shares of each partial form one product-degree
+    `ShareVector`, so `reconstruct_vector` applies its point and quorum
+    guards here too.
     """
-    if len(parts) < scheme.quorum:
-        raise InsufficientShares(len(parts), scheme.quorum)
-    expected = scheme.product_degree
-    if any(pc.degree_hint != expected for pc in parts):
+    if any(pc.degree_hint != scheme.product_degree for pc in parts):
         raise DegreeMismatch("partials must carry the doubled degree")
-    points = [pc.point for pc in parts]
-    if len(set(points)) != len(points):
-        raise DuplicatePoint("duplicate server points among partials")
-    f = scheme.field
-    rows = [(pc.p_share, pc.q_share, pc.r_share) for pc in parts]
-    p_int, q_int, r_int = (f.signed(int(v)) for v in interpolate_vector(points, rows, 0, f))
+    vectors = [
+        ShareVector(pc.point, [pc.p_share, pc.q_share, pc.r_share], pc.degree_hint)
+        for pc in parts
+    ]
+    p_int, q_int, r_int = (scheme.field.signed(v) for v in reconstruct_vector(vectors, scheme))
     return p_int, q_int, r_int
 
 

@@ -1,8 +1,8 @@
 """Exact arithmetic in a prime field Z_p.
 
 Single field elements are canonical residues: plain Python ints in
-[0, p).  Every scalar operation returns a canonical residue, so values
-coming out of a PrimeField can be fed straight back in.
+[0, p).  The few scalar operations the protocol needs (`sub`, `mul`,
+`inv`, `signed`) take and return them.
 
 Share vectors are one-dimensional `uint64` ndarrays of canonical
 residues; p < 2**63 keeps a residue, and the sum of two, below 2**64.
@@ -166,18 +166,8 @@ class PrimeField:
         """Largest magnitude representable as a signed residue: (p-1)/2."""
         return (self.p - 1) // 2
 
-    def element(self, v: int) -> int:
-        """Canonicalize an arbitrary int into [0, p)."""
-        return v % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
     def sub(self, a: int, b: int) -> int:
         return (a - b) % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
 
     def mul(self, a: int, b: int) -> int:
         # Python ints are arbitrary precision, so the double-width
@@ -190,16 +180,9 @@ class PrimeField:
             raise ZeroInverse("0 has no multiplicative inverse")
         return pow(a, self.p - 2, self.p)
 
-    def pow(self, a: int, e: int) -> int:
-        return pow(a, e, self.p)
-
     def signed(self, a: int) -> int:
         """Lift a canonical residue to the signed range (-(p-1)/2, (p-1)/2]."""
         return a if a <= self.half else a - self.p
-
-    def rand(self, rng) -> int:
-        """Uniform element from [0, p) drawn from the given RNG."""
-        return rng.randrange(self.p)
 
     # -- share-vector kernels --------------------------------------------
 
@@ -269,20 +252,6 @@ class PrimeField:
             )
         return out
 
-    def mul_vec(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Elementwise x * y mod p for canonical vectors.
-
-        The 21-bit limb products, grouped by weight 2**(21 s), are each
-        below 3 * 2**42; Horner in base 2**21 folds them with `mul_scalar`.
-        """
-        xs, ys = _limbs([x]), _limbs([y])
-        radix = (1 << _LIMB_BITS) % self.p
-        acc = None
-        for s in range(4, -1, -1):
-            c = sum(xs[i] * ys[s - i] for i in range(max(0, s - 2), min(s, 2) + 1))
-            acc = c if acc is None else self.mul_scalar(acc, radix) + c
-        return self.mul_scalar(acc, 1)
-
     def sum_vec(self, x: np.ndarray) -> int:
         """sum(x) mod p, exact for fewer than 2**32 canonical elements."""
         lo = int(np.sum(x & _LO32, dtype=ELEMENT_DTYPE))
@@ -309,15 +278,3 @@ class PrimeField:
         weight = np.array([1 << (_LIMB_BITS * a) for a in range(3)] * k, dtype=object)
         sums = (total * np.outer(weight, weight)).reshape(k, 3, k, 3).sum(axis=(1, 3))
         return [[int(v) % self.p for v in row] for row in sums]
-
-    def to_bytes(self, a: int) -> bytes:
-        """Serialize one element as an 8-byte big-endian unsigned int."""
-        return a.to_bytes(ELEMENT_BYTES, "big")
-
-    def from_bytes(self, raw: bytes) -> int:
-        if len(raw) != ELEMENT_BYTES:
-            raise ValueError(f"expected {ELEMENT_BYTES} bytes, got {len(raw)}")
-        v = int.from_bytes(raw, "big")
-        if v >= self.p:
-            raise ValueError(f"{v} is not a canonical residue mod {self.p}")
-        return v

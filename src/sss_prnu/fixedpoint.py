@@ -3,7 +3,8 @@
 Reals are scaled by 10**d, rounded to the nearest integer (ties away
 from zero), and mapped into Z_p with negatives represented as p - |m|.
 Products of two encoded values therefore carry a 10**(2d) scale, which
-`decode` removes via `denom_power`.
+`correlation.reconstruct_partials` divides out after the signed lift
+`PrimeField.signed`.
 
 All of the encrypted-domain arithmetic is exact as long as every
 intermediate integer stays within the signed range (-(p-1)/2, (p-1)/2];
@@ -84,16 +85,11 @@ def round_half_away(x: float) -> int:
     return math.ceil(x - 0.5)
 
 
-def encode(x: float, s: Scaling, field: PrimeField) -> int:
-    """Encode one real as round(x * 10**d) mod p; see `encode_vector`."""
-    return int(encode_vector(np.array([x], dtype=np.float64), s, field)[0])
-
-
 def encode_vector(xs: np.ndarray, s: Scaling, field: PrimeField) -> np.ndarray:
     """Encode reals as round(x * 10**d) mod p, as a `uint64` vector.
 
     Rounding is `round_half_away` applied elementwise.  Negative values
-    land at p - |m| so the signed lift in `decode` recovers them exactly.
+    land at p - |m| so `PrimeField.signed` recovers them exactly.
     Raises OutOfRange unless every |m| is at most (p-1)/2.
     """
     xs = np.asarray(xs, dtype=np.float64)
@@ -109,15 +105,6 @@ def encode_vector(xs: np.ndarray, s: Scaling, field: PrimeField) -> np.ndarray:
                 f"|{xs[worst]}| scaled by 10^{s.d} exceeds the signed field range"
             )
     return np.mod(m.astype(np.int64), field.p).astype(ELEMENT_DTYPE)
-
-
-def decode(e: int, s: Scaling, field: PrimeField, denom_power: int = 1) -> float:
-    """Decode a field element back to a real.
-
-    denom_power is 1 for linear quantities and 2 for products of two
-    encoded values (the cross and square sums each carry 10**(2d)).
-    """
-    return field.signed(e) / s.scale**denom_power
 
 
 def capacity_check(

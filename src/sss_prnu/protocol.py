@@ -57,6 +57,7 @@ from .sharing import (
     deserialize_share_vector,
     interpolate_vector,
     serialize_share_vector,
+    serialized_size,
 )
 
 _log = logging.getLogger(__name__)
@@ -345,25 +346,6 @@ class TcpLink:
             self._teardown()
 
 
-@dataclass
-class FaultPlan:
-    """Simulator-only description of which servers misbehave and how.
-
-    A tamper rule rewrites that server's stored ShareVector; downed
-    servers refuse transport entirely.  A server cannot be both.
-    """
-
-    downed: frozenset[int] = frozenset()
-    tampered: dict[int, Callable[[ShareVector], ShareVector]] = dc_field(
-        default_factory=dict
-    )
-
-    def __post_init__(self) -> None:
-        overlap = self.downed & set(self.tampered)
-        if overlap:
-            raise ValueError(f"servers {sorted(overlap)} both down and tampered")
-
-
 def flip_one_element(rng: random.Random, p: int) -> Callable[[ShareVector], ShareVector]:
     """Tamper rule: replace one stored element with a uniform field value."""
 
@@ -407,13 +389,6 @@ class LocalCluster:
             raise KeyError(f"server {point} has no share for {fid!r}")
         store.put(fid, rule(vec))
 
-    def apply_fault_plan(self, plan: FaultPlan, fid: Optional[str] = None) -> None:
-        self.set_down(plan.downed)
-        for point, rule in plan.tampered.items():
-            if fid is None:
-                raise ValueError("tampering a store needs a fingerprint id")
-            self.tamper_stored(point, fid, rule)
-
 
 # ---------------------------------------------------------------------------
 # Trusted-side drivers.
@@ -425,6 +400,12 @@ def _check_links(links: Sequence, cfg: ProtocolConfig) -> None:
         raise ValueError(
             f"links cover points {points}, scheme expects {cfg.scheme.evaluation_points}"
         )
+
+
+def _check_share_frame(fid: str, count: int) -> None:
+    """Refuse, before any request is sent, an ENROLL or QUERY frame whose
+    `count`-element share vector would exceed `wire.MAX_FRAME`."""
+    wire.check_frame_length(1 + len(wire.pack_identified(fid)) + serialized_size(count))
 
 
 def enroll(
@@ -441,6 +422,7 @@ def enroll(
     never lingers.
     """
     _check_links(links, cfg)
+    _check_share_frame(fid, np.size(fingerprint))
     vectors = prepare_vector(fingerprint, cfg.scaling, cfg.scheme, cfg.mode, rng)
     acked: list = []
     failed: list[int] = []
@@ -492,7 +474,10 @@ def _send_query(link, fid: str, vec: ShareVector, cfg: ProtocolConfig) -> Partia
         raise _ServerRefusal(link.point, code, message)
     if rtype != wire.MSG_PARTIAL:
         raise TransportError(f"server {link.point} sent frame type {rtype:#04x}")
-    pc = deserialize_partial(rpayload, cfg.scheme)
+    try:
+        pc = deserialize_partial(rpayload, cfg.scheme)
+    except ValueError as exc:
+        raise TransportError(f"server {link.point}: {exc}") from exc
     if pc.point != vec.point:
         raise TransportError(
             f"server {link.point} answered for point {pc.point}"
@@ -585,6 +570,7 @@ def query_residual(
     """Correlate an already-extracted residual against an enrolled id."""
     _check_links(links, cfg)
     flat = np.asarray(residual, dtype=np.float64).ravel()
+    _check_share_frame(fid, flat.size)
     vectors = prepare_vector(flat, cfg.scaling, cfg.scheme, cfg.mode, rng)
     parts, unknown, malformed = _fan_out(links, vectors, fid, cfg, stop_at=cfg.quorum)
     if len(parts) < cfg.quorum:
@@ -716,6 +702,7 @@ def verify_residual(
             "with n equal to the quorum there is a single subset and nothing to compare"
         )
     flat = np.asarray(residual, dtype=np.float64).ravel()
+    _check_share_frame(fid, flat.size)
     vectors = prepare_vector(flat, cfg.scaling, scheme, cfg.mode, rng)
     sent = {vec.point: vec for vec in vectors}
     parts, unknown, malformed = _fan_out(links, vectors, fid, cfg, stop_at=None)

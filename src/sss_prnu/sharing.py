@@ -1,16 +1,19 @@
-"""(l, n) threshold secret sharing with the homomorphisms the matcher uses.
+"""(l, n) threshold secret sharing over whole vectors.
 
 A secret b0 is hidden as the constant term of a random polynomial
 G(u) = b0 + b1*u + ... + b_{l-1}*u^(l-1) over Z_p; share i is the
 evaluation at a public nonzero point u_i.  Any l shares recover b0 by
-Lagrange interpolation at zero.
+Lagrange interpolation at zero.  `share_vector` shares every element of
+a fingerprint or residual at once, one `ShareVector` per server, and
+`reconstruct_vector` recovers them elementwise.
 
-Share addition and multiplication by a public constant commute with
-reconstruction.  Multiplying two share sets elementwise yields shares
-of the product secret, but doubles the polynomial degree to 2l-2, so
-the scheme supports exactly one multiplication and afterwards needs
-2l-1 points to reconstruct.  `degree_hint` travels with every share so
-that both limits are enforced locally.
+The library itself performs no arithmetic on shares.  The one product
+happens inside `correlation.compute_partials`: multiplying two share
+vectors elementwise yields shares of the product secret, but doubles
+the polynomial degree to 2l-2, so the scheme supports exactly one
+multiplication and afterwards needs 2l-1 points to reconstruct.
+`check_product_operands` guards that product, and `degree_hint`
+travels with every share so that both limits are enforced locally.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ class PointMismatch(SharingError):
 
 
 class DegreeMismatch(SharingError):
-    """Elementwise operation across different polynomial degrees."""
+    """Shares reconstructed together carry different degree hints."""
 
 
 class LengthMismatch(SharingError):
@@ -109,13 +112,6 @@ class ShareScheme:
         return 2 * self.l - 1
 
 
-@dataclass(frozen=True)
-class Share:
-    point: int
-    value: int
-    degree_hint: int
-
-
 @dataclass(eq=False)
 class ShareVector:
     """One server's share of a whole flattened matrix.
@@ -154,32 +150,6 @@ def _evaluate(secrets: np.ndarray, coeffs: np.ndarray, scheme: ShareScheme) -> n
     for row in coeffs[-2::-1]:
         acc = f.mul_scalar(acc, points, plus=row)
     return f.mul_scalar(acc, points, plus=secrets)
-
-
-def share(
-    secret: int,
-    scheme: ShareScheme,
-    rng: Optional[random.Random] = None,
-    coeffs: Optional[Sequence[int]] = None,
-) -> list[Share]:
-    """Split one secret into n shares.
-
-    `coeffs` pins the l-1 random polynomial coefficients; it exists for
-    tests that need a known polynomial and must not be used otherwise.
-    """
-    f = scheme.field
-    secrets = np.array([f.element(secret)], dtype=ELEMENT_DTYPE)
-    if coeffs is None:
-        rng = rng if rng is not None else _SYSTEM_RNG
-        rows = f.random_vector(rng, scheme.l - 1)
-    elif len(coeffs) != scheme.l - 1:
-        raise ValueError(f"expected {scheme.l - 1} coefficients")
-    else:
-        rows = np.array([f.element(c) for c in coeffs], dtype=ELEMENT_DTYPE)
-    values = _evaluate(secrets, rows.reshape(-1, 1), scheme)[:, 0].tolist()
-    return [
-        Share(u, v, scheme.fresh_degree) for u, v in zip(scheme.evaluation_points, values)
-    ]
 
 
 def share_vector(
@@ -235,40 +205,15 @@ def interpolate_vector(
     return acc
 
 
-def interpolate_at(
-    points: Sequence[int], values: Sequence[int], x: int, field: PrimeField
-) -> int:
-    """Evaluate the unique interpolating polynomial at x."""
-    return int(interpolate_vector(points, [[v] for v in values], x, field)[0])
-
-
-def interpolate_at_zero(
-    points: Sequence[int], values: Sequence[int], field: PrimeField
-) -> int:
-    """Lagrange interpolation at u = 0, where shared secrets live."""
-    return interpolate_at(points, values, 0, field)
-
-
-def reconstruct(shares: Sequence[Share], scheme: ShareScheme) -> int:
-    """Recover the secret from degree_hint + 1 or more shares."""
-    if not shares:
-        raise InsufficientShares(0, 1)
-    degree = shares[0].degree_hint
-    if any(sh.degree_hint != degree for sh in shares):
-        raise DegreeMismatch("shares carry mixed degree hints")
-    points = [sh.point for sh in shares]
-    if len(set(points)) != len(points):
-        raise DuplicatePoint("duplicate evaluation points")
-    required = degree + 1
-    if len(shares) < required:
-        raise InsufficientShares(len(shares), required)
-    return interpolate_at_zero(points, [sh.value for sh in shares], scheme.field)
-
-
 def reconstruct_vector(
     vectors: Sequence[ShareVector], scheme: ShareScheme
 ) -> list[int]:
-    """Elementwise reconstruction across one ShareVector per server."""
+    """Elementwise reconstruction across one ShareVector per server.
+
+    The one guarded path back from shares: every vector must carry the
+    same degree hint and length, at distinct points, and there must be
+    at least degree_hint + 1 of them.
+    """
     if not vectors:
         raise InsufficientShares(0, 1)
     degree = vectors[0].degree_hint
@@ -283,22 +228,6 @@ def reconstruct_vector(
     if len(vectors) < degree + 1:
         raise InsufficientShares(len(vectors), degree + 1)
     return interpolate_vector(points, [v.values for v in vectors], 0, scheme.field).tolist()
-
-
-def add_shares(a: ShareVector, b: ShareVector, scheme: ShareScheme) -> ShareVector:
-    """Elementwise share addition; reconstructs to the sum of secrets."""
-    if a.point != b.point:
-        raise PointMismatch(f"points {a.point} and {b.point} differ")
-    if a.degree_hint != b.degree_hint:
-        raise DegreeMismatch("cannot add shares of different degrees")
-    if len(a) != len(b):
-        raise LengthMismatch(f"lengths {len(a)} and {len(b)} differ")
-    return ShareVector(a.point, scheme.field.mul_scalar(a.values, 1, plus=b.values), a.degree_hint)
-
-
-def scalar_mul(c: int, a: ShareVector, scheme: ShareScheme) -> ShareVector:
-    """Multiply shares by a public constant; degree is unchanged."""
-    return ShareVector(a.point, scheme.field.mul_scalar(a.values, c), a.degree_hint)
 
 
 def check_product_operands(a: ShareVector, b: ShareVector, scheme: ShareScheme) -> None:
@@ -319,17 +248,12 @@ def check_product_operands(a: ShareVector, b: ShareVector, scheme: ShareScheme) 
         )
 
 
-def mul_shares(a: ShareVector, b: ShareVector, scheme: ShareScheme) -> ShareVector:
-    """Elementwise share multiplication; the one allowed multiplication.
-
-    The result carries degree 2l-2 and needs the 2l-1 quorum to
-    reconstruct.
-    """
-    check_product_operands(a, b, scheme)
-    return ShareVector(a.point, scheme.field.mul_vec(a.values, b.values), scheme.product_degree)
-
-
 _VEC_HEADER = struct.Struct(">QBI")
+
+
+def serialized_size(count: int) -> int:
+    """Bytes `serialize_share_vector` produces for a `count`-element vector."""
+    return _VEC_HEADER.size + count * ELEMENT_BYTES
 
 
 def serialize_share_vector(v: ShareVector) -> bytes:

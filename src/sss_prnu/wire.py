@@ -36,7 +36,8 @@ ERR_MALFORMED = 1
 ERR_UNKNOWN_ID = 2
 ERR_INTERNAL = 3
 
-# Generous ceiling; a 4096-element vector frame is under 33 KiB.
+# 64 MiB: a share vector frame holds up to about 8.4 million elements,
+# a 2896x2896 image.
 MAX_FRAME = 1 << 26
 
 _LEN = struct.Struct(">I")
@@ -53,12 +54,18 @@ class ConnectionClosed(ConnectionError):
     """Peer closed the stream between frames."""
 
 
+def check_frame_length(length: int) -> None:
+    """Refuse a frame whose length field (type byte plus payload) would
+    exceed MAX_FRAME, which no reader accepts."""
+    if length > MAX_FRAME:
+        raise FrameError(f"frame of {length} bytes exceeds the {MAX_FRAME}-byte limit")
+
+
 def encode_frame(ftype: int, payload: bytes = b"") -> bytes:
     if not 0 <= ftype <= 0xFF:
         raise FrameError(f"frame type {ftype} out of range")
     length = 1 + len(payload)
-    if length > MAX_FRAME:
-        raise FrameError(f"frame of {length} bytes exceeds limit")
+    check_frame_length(length)
     return _LEN_TYPE.pack(length, ftype) + payload
 
 

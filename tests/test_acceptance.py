@@ -23,6 +23,7 @@ from sss_prnu import (
     QuorumNotReached,
     Scaling,
     ShareScheme,
+    ShareVector,
     SyntheticCamera,
     TcpCloudServer,
     TcpLink,
@@ -30,18 +31,17 @@ from sss_prnu import (
     enroll,
     estimate_fingerprint,
     flip_one_element,
-    interpolate_at_zero,
+    interpolate_vector,
     pearson,
     prepare_vector,
     query,
     query_residual,
-    reconstruct,
     reconstruct_partials,
-    share,
+    reconstruct_vector,
+    share_vector,
     verify_residual,
 )
 from sss_prnu.correlation import finalize
-from sss_prnu.sharing import Share
 
 SCHEME = ShareScheme(l=2, n=4)
 S4 = Scaling(4)
@@ -122,45 +122,45 @@ def test_criterion_3_tampered_server_identified_in_95_of_100_trials():
 def test_criterion_4_product_needs_quorum_and_is_exact():
     f = SCHEME.field
     rng = random.Random(404)
-    l_only_disagreements = 0
-    for _ in range(10_000):
-        a = rng.randrange(f.p)
-        b = rng.randrange(f.p)
-        sa = share(a, SCHEME, rng)
-        sb = share(b, SCHEME, rng)
-        prod = [
-            Share(x.point, f.mul(x.value, y.value), SCHEME.product_degree)
-            for x, y in zip(sa, sb)
-        ]
-        got = reconstruct(prod[: SCHEME.quorum], SCHEME)
-        assert got == f.mul(a, b)
-        under = interpolate_at_zero(
-            [prod[0].point, prod[1].point], [prod[0].value, prod[1].value], f
+    samples = 10_000
+    a = [rng.randrange(f.p) for _ in range(samples)]
+    b = [rng.randrange(f.p) for _ in range(samples)]
+    sa = share_vector(a, SCHEME, rng)
+    sb = share_vector(b, SCHEME, rng)
+    # Each server's elementwise share products, in plain ints.
+    prod = [
+        ShareVector(
+            x.point,
+            [f.mul(u, v) for u, v in zip(x.values.tolist(), y.values.tolist())],
+            SCHEME.product_degree,
         )
-        if under != f.mul(a, b):
-            l_only_disagreements += 1
+        for x, y in zip(sa, sb)
+    ]
+    want = [f.mul(x, y) for x, y in zip(a, b)]
+    assert reconstruct_vector(prod[: SCHEME.quorum], SCHEME) == want
+    under = interpolate_vector(
+        [prod[0].point, prod[1].point], [prod[0].values, prod[1].values], 0, f
+    ).tolist()
+    l_only_disagreements = sum(got != w for got, w in zip(under, want))
     assert l_only_disagreements > 9_900
 
 
 def test_criterion_5_roundtrip_every_subset_and_uniform_marginals():
     f = SCHEME.field
     rng = random.Random(505)
-    for _ in range(10_000):
-        secret = rng.randrange(f.p)
-        shares = share(secret, SCHEME, rng)
-        for subset in combinations(shares, SCHEME.l):
-            assert reconstruct(list(subset), SCHEME) == secret
+    secrets = [rng.randrange(f.p) for _ in range(10_000)]
+    vectors = share_vector(secrets, SCHEME, rng)
+    for subset in combinations(vectors, SCHEME.l):
+        assert reconstruct_vector(list(subset), SCHEME) == secrets
 
     small = ShareScheme(l=2, n=4, field=PrimeField(257))
     srng = random.Random(606)
-    counts = {u: np.zeros(257, dtype=np.int64) for u in small.evaluation_points}
-    for _ in range(100_000):
-        shares = share(srng.randrange(257), small, srng)
-        for s in shares:
-            counts[s.point][s.value] += 1
-    for u, observed in counts.items():
+    marginals = share_vector([srng.randrange(257) for _ in range(100_000)], small, srng)
+    for vec in marginals:
+        observed = np.bincount(vec.values.astype(np.int64), minlength=257)
+        assert observed.size == 257
         check = scipy.stats.chisquare(observed)
-        assert check.pvalue > 0.001, f"share marginal at point {u} is not uniform"
+        assert check.pvalue > 0.001, f"share marginal at point {vec.point} is not uniform"
 
 
 def test_criterion_6_twelve_camera_separation_under_encryption():

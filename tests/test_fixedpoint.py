@@ -11,8 +11,6 @@ from sss_prnu import (
     PrimeField,
     Scaling,
     capacity_check,
-    decode,
-    encode,
     encode_vector,
     round_half_away,
 )
@@ -29,40 +27,46 @@ def test_rounding_ties_away_from_zero():
     assert round_half_away(-0.49999) == 0
 
 
+def encode(xs, s):
+    return encode_vector(np.array(xs, dtype=np.float64), s, FIELD).tolist()
+
+
+def lift(e, s, denom_power=1):
+    """The signed lift and division reconstruct_partials decodes with."""
+    return FIELD.signed(e) / s.scale**denom_power
+
+
 def test_encode_reference_value():
     # 0.53334999 at four digits lands on 5333, not 5334.
-    assert encode(0.53334999, Scaling(4), FIELD) == 5333
+    assert encode([0.53334999], Scaling(4)) == [5333]
 
 
 def test_encode_negative_wraps():
     s = Scaling(4)
-    e = encode(-1.0, s, FIELD)
+    [e] = encode([-1.0], s)
     assert e == FIELD.p - 10_000
-    assert decode(e, s, FIELD) == -1.0
+    assert lift(e, s) == -1.0
 
 
 def test_roundtrip_table_value():
     # A correlation-sized value survives the encode/decode round trip.
     s = Scaling(4)
-    assert decode(encode(0.4493, s, FIELD), s, FIELD) == 0.4493
+    assert lift(encode([0.4493], s)[0], s) == 0.4493
 
 
 def test_roundtrip_random_quantized():
     s = Scaling(4)
     rng = random.Random(5)
-    for _ in range(5000):
-        m = rng.randrange(-10**7, 10**7)
-        x = m / s.scale
-        assert decode(encode(x, s, FIELD), s, FIELD) == x
+    xs = [rng.randrange(-10**7, 10**7) / s.scale for _ in range(5000)]
+    assert [lift(e, s) for e in encode(xs, s)] == xs
 
 
 def test_denom_power_for_products():
     # Dyadic values keep every float step exact, so == is legitimate.
     s = Scaling(3)
-    a, b = 1.25, -0.375
-    ea, eb = encode(a, s, FIELD), encode(b, s, FIELD)
+    ea, eb = encode([1.25, -0.375], s)
     prod = FIELD.mul(ea, eb)
-    assert decode(prod, s, FIELD, denom_power=2) == -0.46875
+    assert lift(prod, s, denom_power=2) == -0.46875
 
 
 def test_scaling_validation():
@@ -73,7 +77,7 @@ def test_scaling_validation():
 
 def test_encode_out_of_range():
     with pytest.raises(OutOfRange):
-        encode(1e18, Scaling(4), FIELD)
+        encode([1e18], Scaling(4))
 
 
 def test_capacity_reference_values():
@@ -108,13 +112,13 @@ def test_exact_homomorphism_on_quantized_rationals():
     # is computed with integer arithmetic to avoid float re-rounding.
     s = Scaling(2)
     rng = random.Random(11)
-    for _ in range(2000):
-        m = rng.randrange(-10**6, 10**6)
-        k = rng.randrange(-10**6, 10**6)
-        ea, eb = encode(m / s.scale, s, FIELD), encode(k / s.scale, s, FIELD)
-        assert ea == FIELD.element(m) and eb == FIELD.element(k)
-        assert decode(FIELD.add(ea, eb), s, FIELD) == (m + k) / s.scale
-        assert decode(FIELD.mul(ea, eb), s, FIELD, denom_power=2) == (m * k) / s.scale**2
+    ms = [rng.randrange(-10**6, 10**6) for _ in range(2000)]
+    ks = [rng.randrange(-10**6, 10**6) for _ in range(2000)]
+    eas, ebs = encode([m / s.scale for m in ms], s), encode([k / s.scale for k in ks], s)
+    for m, k, ea, eb in zip(ms, ks, eas, ebs):
+        assert ea == m % FIELD.p and eb == k % FIELD.p
+        assert lift((ea + eb) % FIELD.p, s) == (m + k) / s.scale
+        assert lift(FIELD.mul(ea, eb), s, denom_power=2) == (m * k) / s.scale**2
 
 
 def test_encode_vector_matches_scalar_rounding():

@@ -13,7 +13,6 @@ from sss_prnu import (
     CloudServer,
     DimensionMismatch,
     EnrollTimeout,
-    FaultPlan,
     LocalCluster,
     NotApplicable,
     ProtocolConfig,
@@ -31,6 +30,7 @@ from sss_prnu import (
     flip_one_element,
     query_residual,
     reconstruct_vector,
+    serialize_share_vector,
     unpack_identified,
     verify_residual,
 )
@@ -287,8 +287,6 @@ def test_verify_needs_spare_servers():
 
 
 def test_fault_plan():
-    with pytest.raises(ValueError):
-        FaultPlan(downed=frozenset({2}), tampered={2: lambda v: v})
     # One server down still leaves a spare when n is 5, so the tampered
     # one remains identifiable.
     scheme = ShareScheme(l=2, n=5)
@@ -296,15 +294,69 @@ def test_fault_plan():
     cluster = make_cluster(cfg)
     base, near, _ = sample_pair(14)
     enroll(base, "cam", cfg, cluster.links, random.Random(1))
-    plan = FaultPlan(
-        downed=frozenset({5}),
-        tampered={1: flip_one_element(random.Random(6), scheme.field.p)},
-    )
-    cluster.apply_fault_plan(plan, "cam")
+    cluster.set_down([5])
+    cluster.tamper_stored(1, "cam", flip_one_element(random.Random(6), scheme.field.p))
     report = verify_residual(near, "cam", cfg, cluster.links, random.Random(2))
     assert report.responding == (1, 2, 3, 4)
     assert not report.consistent
     assert report.suspects == (1,)
+
+
+def test_unparseable_partial_counts_as_a_transport_error():
+    # Server 4 answers QUERY with a 31-byte PARTIAL; the three honest
+    # servers still make a quorum, and without them the query has none.
+    cluster = make_cluster()
+    base, near, _ = sample_pair(21)
+    enroll(base, "cam", CFG, cluster.links, random.Random(1))
+    honest = query_residual(near, "cam", CFG, cluster.links, random.Random(2))
+    cluster.servers[4].handle = lambda ftype, payload: (wire.MSG_PARTIAL, bytes(31))
+    res = query_residual(near, "cam", CFG, cluster.links, random.Random(3))
+    assert res.semantic_key() == honest.semantic_key()
+    assert sorted(res.server_subset) == [1, 2, 3]
+    report = verify_residual(near, "cam", CFG, cluster.links, random.Random(4))
+    assert report.responding == (1, 2, 3)
+    assert report.consistent
+    cluster.set_down([1])
+    with pytest.raises(QuorumNotReached):
+        query_residual(near, "cam", CFG, cluster.links, random.Random(5))
+
+
+@pytest.mark.parametrize("transport", ["local", "tcp"])
+def test_oversized_share_frame_is_refused_before_sending(transport, request, monkeypatch):
+    links = make_cluster().links if transport == "local" else request.getfixturevalue("tcp_cluster")
+    base, near, _ = sample_pair(22)
+    enroll(base, "cam", CFG, links, random.Random(1))
+    sent = []
+    for link in links:
+        link.observer = lambda point, direction, frame: sent.append(point)
+    # An 8x8 share vector under a 3-byte id makes a 531-byte frame.
+    monkeypatch.setattr(wire, "MAX_FRAME", 200)
+    with pytest.raises(wire.FrameError, match="frame of 531 bytes exceeds the 200-byte limit"):
+        enroll(base, "new", CFG, links, random.Random(2))
+    with pytest.raises(wire.FrameError, match="frame of 531 bytes exceeds the 200-byte limit"):
+        query_residual(near, "cam", CFG, links, random.Random(3))
+    assert sent == []
+    monkeypatch.undo()
+    for link in links:
+        rtype, rpayload = link.request(wire.MSG_FETCH, wire.pack_identified("new"))
+        assert rtype == wire.MSG_ERROR
+        assert wire.unpack_error(rpayload)[0] == wire.ERR_UNKNOWN_ID
+
+
+def test_servers_refuse_noncanonical_share_values():
+    cluster = make_cluster()
+    base, _, _ = sample_pair(23)
+    enroll(base, "cam", CFG, cluster.links, random.Random(1))
+    link, store = cluster.links[0], cluster.servers[1].store
+    before = store.get("cam")
+    # 64 elements, the enrolled length, with the last one equal to p.
+    bad = ShareVector(1, [0] * 63 + [SCHEME.field.p], SCHEME.fresh_degree)
+    for ftype, fid in ((wire.MSG_ENROLL, "cam"), (wire.MSG_ENROLL, "new"), (wire.MSG_QUERY, "cam")):
+        rtype, rpayload = link.request(ftype, wire.pack_identified(fid, serialize_share_vector(bad)))
+        assert rtype == wire.MSG_ERROR
+        assert wire.unpack_error(rpayload)[0] == wire.ERR_MALFORMED
+    assert store.ids() == ["cam"]
+    assert store.get("cam") == before
 
 
 def test_verify_single_quorum_of_responders_sees_nothing():
@@ -447,8 +499,6 @@ def test_tcp_server_reports_errors_and_stays_usable(tcp_cluster):
 
 def test_tcp_share_routing_rejected(tcp_cluster):
     # A share labeled for point 2 must be refused by server 1.
-    from sss_prnu import serialize_share_vector
-
     vec = ShareVector(2, [1, 2, 3], 1)
     payload = wire.pack_identified("cam", serialize_share_vector(vec))
     rtype, rpayload = tcp_cluster[0].request(wire.MSG_ENROLL, payload)

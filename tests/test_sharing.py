@@ -1,6 +1,7 @@
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from sss_prnu import (
@@ -9,43 +10,42 @@ from sss_prnu import (
     DuplicatePoint,
     InsufficientShares,
     LengthMismatch,
-    PointMismatch,
     PrimeField,
-    Share,
     ShareScheme,
     ShareVector,
-    add_shares,
     deserialize_share_vector,
-    interpolate_at_zero,
-    mul_shares,
-    reconstruct,
     reconstruct_vector,
-    scalar_mul,
     serialize_share_vector,
-    share,
     share_vector,
 )
+from sss_prnu.sharing import check_product_operands
 
 F17 = PrimeField(17)
 SMALL = ShareScheme(l=2, n=4, field=F17)
 
 
+class ThreesRng:
+    """Byte stream of 3s: every polynomial coefficient it draws is 3."""
+
+    def randbytes(self, n):
+        return b"\x03" * n
+
+
 def test_hand_worked_shares():
     # G(u) = 5 + 3u over Z_17 evaluated at 1..4.
-    shares = share(5, SMALL, coeffs=[3])
-    assert [(s.point, s.value) for s in shares] == [(1, 8), (2, 11), (3, 14), (4, 0)]
-    assert all(s.degree_hint == 1 for s in shares)
+    vectors = share_vector([5], SMALL, ThreesRng())
+    assert [(v.point, int(v.values[0])) for v in vectors] == [(1, 8), (2, 11), (3, 14), (4, 0)]
+    assert all(v.degree_hint == 1 for v in vectors)
 
 
 def test_reconstruct_from_every_l_subset():
     rng = random.Random(21)
-    for _ in range(200):
-        secret = rng.randrange(17)
-        shares = share(secret, SMALL, rng)
-        for subset in combinations(shares, SMALL.l):
-            assert reconstruct(list(subset), SMALL) == secret
-        # Oversampled reconstruction agrees too.
-        assert reconstruct(shares, SMALL) == secret
+    secrets = [rng.randrange(17) for _ in range(200)]
+    vectors = share_vector(secrets, SMALL, rng)
+    for subset in combinations(vectors, SMALL.l):
+        assert reconstruct_vector(list(subset), SMALL) == secrets
+    # Oversampled reconstruction agrees too.
+    assert reconstruct_vector(vectors, SMALL) == secrets
 
 
 def test_scheme_validation():
@@ -65,16 +65,16 @@ def test_scheme_validation():
 
 
 def test_insufficient_and_duplicate_guards():
-    shares = share(6, SMALL, random.Random(1))
+    vectors = share_vector([6], SMALL, random.Random(1))
     with pytest.raises(InsufficientShares):
-        reconstruct(shares[:1], SMALL)
+        reconstruct_vector(vectors[:1], SMALL)
     with pytest.raises(DuplicatePoint):
-        reconstruct([shares[0], shares[0]], SMALL)
+        reconstruct_vector([vectors[0], vectors[0]], SMALL)
     with pytest.raises(InsufficientShares):
-        reconstruct([], SMALL)
-    mixed = [shares[0], Share(shares[1].point, shares[1].value, 2)]
+        reconstruct_vector([], SMALL)
+    mixed = [vectors[0], ShareVector(vectors[1].point, vectors[1].values, 2)]
     with pytest.raises(DegreeMismatch):
-        reconstruct(mixed, SMALL)
+        reconstruct_vector(mixed, SMALL)
 
 
 def test_vector_roundtrip_and_guards():
@@ -90,36 +90,19 @@ def test_vector_roundtrip_and_guards():
         reconstruct_vector([vectors[0], short], SMALL)
 
 
-def test_additive_homomorphism():
-    rng = random.Random(3)
-    xs = [rng.randrange(17) for _ in range(8)]
-    ys = [rng.randrange(17) for _ in range(8)]
-    vx = share_vector(xs, SMALL, rng)
-    vy = share_vector(ys, SMALL, rng)
-    summed = [add_shares(a, b, SMALL) for a, b in zip(vx, vy)]
-    expected = [(a + b) % 17 for a, b in zip(xs, ys)]
-    assert reconstruct_vector(summed[:2], SMALL) == expected
-
-
-def test_scalar_homomorphism():
-    rng = random.Random(4)
-    xs = [rng.randrange(17) for _ in range(8)]
-    vx = share_vector(xs, SMALL, rng)
-    scaled = [scalar_mul(7, v, SMALL) for v in vx]
-    expected = [7 * x % 17 for x in xs]
-    assert reconstruct_vector(scaled[2:], SMALL) == expected
-    assert all(v.degree_hint == SMALL.fresh_degree for v in scaled)
-
-
 def test_single_multiplication():
+    # Elementwise products of two share sets, in plain ints, are shares
+    # of the products at degree 2l-2.
     rng = random.Random(5)
     xs = [rng.randrange(17) for _ in range(8)]
     ys = [rng.randrange(17) for _ in range(8)]
     vx = share_vector(xs, SMALL, rng)
     vy = share_vector(ys, SMALL, rng)
-    prod = [mul_shares(a, b, SMALL) for a, b in zip(vx, vy)]
+    prod = [
+        ShareVector(a.point, a.values * b.values % 17, SMALL.product_degree)
+        for a, b in zip(vx, vy)
+    ]
     expected = [a * b % 17 for a, b in zip(xs, ys)]
-    assert all(v.degree_hint == SMALL.product_degree for v in prod)
     # Quorum reconstructs the products; a fresh-size subset cannot.
     assert reconstruct_vector(prod[:3], SMALL) == expected
     with pytest.raises(InsufficientShares):
@@ -129,28 +112,11 @@ def test_single_multiplication():
 def test_second_multiplication_rejected():
     rng = random.Random(6)
     vx = share_vector([3, 5], SMALL, rng)
-    vy = share_vector([2, 8], SMALL, rng)
-    prod = [mul_shares(a, b, SMALL) for a, b in zip(vx, vy)]
-    with pytest.raises(DegreeOverflow):
-        mul_shares(prod[0], vx[0], SMALL)
-    with pytest.raises(DegreeOverflow):
-        mul_shares(prod[0], prod[0], SMALL)
-
-
-def test_elementwise_guards():
-    rng = random.Random(7)
-    vx = share_vector([1, 2, 3], SMALL, rng)
-    vy = share_vector([4, 5, 6], SMALL, rng)
-    with pytest.raises(PointMismatch):
-        add_shares(vx[0], vy[1], SMALL)
-    with pytest.raises(PointMismatch):
-        mul_shares(vx[0], vy[1], SMALL)
-    short = ShareVector(vy[0].point, vy[0].values[:2], vy[0].degree_hint)
-    with pytest.raises(LengthMismatch):
-        add_shares(vx[0], short, SMALL)
-    bumped = ShareVector(vy[0].point, vy[0].values, 2)
-    with pytest.raises(DegreeMismatch):
-        add_shares(vx[0], bumped, SMALL)
+    prod = ShareVector(vx[0].point, vx[0].values, SMALL.product_degree)
+    check_product_operands(vx[0], vx[0], SMALL)
+    for a, b in ((prod, vx[0]), (vx[0], prod), (prod, prod)):
+        with pytest.raises(DegreeOverflow):
+            check_product_operands(a, b, SMALL)
 
 
 def test_fresh_randomness_differs():
@@ -205,23 +171,11 @@ def test_share_pairs_uniform_over_random_secrets():
     from scipy import stats
 
     rng = random.Random(31)
-    counts = [[0] * 17 for _ in range(17)]
     samples = 100_000
-    for _ in range(samples):
-        secret = rng.randrange(17)
-        shares = share(secret, SMALL, rng)
-        counts[shares[0].value][shares[2].value] += 1
-    flat = [c for row in counts for c in row]
-    _, p_value = stats.chisquare(flat)
+    secrets = [rng.randrange(17) for _ in range(samples)]
+    vectors = share_vector(secrets, SMALL, rng)
+    cells = vectors[0].values.astype(np.int64) * 17 + vectors[2].values.astype(np.int64)
+    counts = np.bincount(cells, minlength=17 * 17)
+    assert counts.size == 17 * 17 and counts.sum() == samples
+    _, p_value = stats.chisquare(counts)
     assert p_value > 0.001
-
-
-def test_interpolate_at_zero_matches_reconstruct():
-    rng = random.Random(9)
-    scheme = ShareScheme(l=3, n=5, field=PrimeField(257))
-    for _ in range(50):
-        secret = rng.randrange(257)
-        shares = share(secret, scheme, rng)
-        pts = [s.point for s in shares[:3]]
-        vals = [s.value for s in shares[:3]]
-        assert interpolate_at_zero(pts, vals, scheme.field) == secret
