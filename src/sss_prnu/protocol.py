@@ -18,6 +18,16 @@ instances reachable through a link abstraction: LocalLink calls the
 server in-process, TcpLink speaks the wire format over a socket.  Both
 move identical frame bytes, so traffic observers see the same thing
 either way.
+
+Each link also owns its concurrency.  The drivers hand a request to
+`link.submit(fn, deadline)` and wait on the returned Future.  LocalLink
+runs it at once on the calling thread: an in-process server shares the
+caller's interpreter lock, so a thread would add start-up cost and no
+overlap.  TcpLink queues it on its one long-lived worker thread, so the
+n servers of a fan-out work in parallel while each link carries one
+request at a time, in order.  A request that its link reaches only
+after its deadline fails with TransportError and is never sent, so a
+hung server costs each query at most one wait and never a thread.
 """
 
 from __future__ import annotations
@@ -29,10 +39,11 @@ import socket
 import socketserver
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 from itertools import combinations
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -97,6 +108,16 @@ class NotApplicable(ProtocolError):
 # Observer hook shared by both transports: (server point, "send"/"recv",
 # raw frame bytes).  Used for golden traces and confidentiality audits.
 Observer = Callable[[int, str, bytes], None]
+
+_T = TypeVar("_T")
+
+
+def _run_by(deadline: float, point: int, fn: Callable[[], _T]) -> _T:
+    """Run a request for server `point` unless `deadline` (on the
+    time.monotonic clock) has passed; then it fails unsent."""
+    if time.monotonic() > deadline:
+        raise TransportError(f"server {point}: request not started before its deadline")
+    return fn()
 
 
 @dataclass
@@ -269,6 +290,16 @@ class LocalLink:
     def point(self) -> int:
         return self.server.point
 
+    def submit(self, fn: Callable[[], _T], deadline: float) -> Future:
+        """Run `fn` at once on the calling thread; the returned Future is
+        already done."""
+        fut: Future = Future()
+        try:
+            fut.set_result(_run_by(deadline, self.point, fn))
+        except Exception as exc:  # kept in the Future, raised by result()
+            fut.set_exception(exc)
+        return fut
+
     def request(self, ftype: int, payload: bytes) -> tuple[int, bytes]:
         if self.down:
             raise TransportError(f"server {self.point} is unreachable")
@@ -286,7 +317,14 @@ class LocalLink:
 
 
 class TcpLink:
-    """Persistent client connection to one server over TCP."""
+    """Persistent client connection to one server over TCP.
+
+    `submit` queues requests on the link's one worker thread, which
+    starts on first use and runs them one at a time, in order.  `request`
+    may also be called directly; a lock keeps the two from interleaving
+    frames on the socket.  `close()` ends the worker: requests still
+    queued are cancelled and the one in flight fails at once.
+    """
 
     def __init__(
         self,
@@ -302,6 +340,11 @@ class TcpLink:
         self._lock = threading.Lock()
         self._sock: Optional[socket.socket] = None
         self._fh = None
+        self._worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix=f"TcpLink-{point}")
+
+    def submit(self, fn: Callable[[], _T], deadline: float) -> Future:
+        """Queue `fn` behind this link's earlier requests."""
+        return self._worker.submit(_run_by, deadline, self.point, fn)
 
     def _connect(self) -> None:
         sock = socket.create_connection(self.address, timeout=self.timeout)
@@ -342,6 +385,15 @@ class TcpLink:
         self._sock = None
 
     def close(self) -> None:
+        self._worker.shutdown(wait=False, cancel_futures=True)
+        sock = self._sock
+        if sock is not None:
+            # Wakes a worker blocked on a server that does not answer.
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+        self._worker.shutdown(wait=True)
         with self._lock:
             self._teardown()
 
@@ -417,6 +469,8 @@ def enroll(
 ) -> tuple[int, ...]:
     """Share a fingerprint to every server; all-or-nothing.
 
+    The n ENROLL requests run concurrently, each as its link runs
+    requests (see the module docstring), and every one is waited for.
     Every server must acknowledge.  On any failure the servers that did
     store the share receive a delete marker, so a partial enrollment
     never lingers.
@@ -426,10 +480,9 @@ def enroll(
     vectors = prepare_vector(fingerprint, cfg.scaling, cfg.scheme, cfg.mode, rng)
     acked: list = []
     failed: list[int] = []
-    for link, vec in zip(links, vectors):
-        payload = wire.pack_identified(fid, serialize_share_vector(vec))
+    for link, fut in zip(links, _submit_enroll(links, vectors, fid, cfg)):
         try:
-            rtype, rpayload = link.request(wire.MSG_ENROLL, payload)
+            rtype, _ = fut.result()
         except TransportError:
             failed.append(link.point)
             continue
@@ -438,19 +491,32 @@ def enroll(
         else:
             failed.append(link.point)
     if failed:
-        tombstone = {link.point: _tombstone(link.point, cfg) for link in acked}
-        for link in acked:
+        tombstones = [_tombstone(link.point, cfg) for link in acked]
+        for fut in _submit_enroll(acked, tombstones, fid, cfg):
             try:
-                link.request(
-                    wire.MSG_ENROLL,
-                    wire.pack_identified(
-                        fid, serialize_share_vector(tombstone[link.point])
-                    ),
-                )
+                fut.result()
             except TransportError:
                 pass  # best effort; the id was never fully enrolled
         raise EnrollTimeout(failed)
     return tuple(link.point for link in acked)
+
+
+def _submit_enroll(
+    links: Sequence, vectors: Sequence[ShareVector], fid: str, cfg: ProtocolConfig
+) -> list[Future]:
+    """Submit one ENROLL per link; the Futures hold (type, payload)."""
+    deadline = time.monotonic() + cfg.timeout_ms / 1000.0
+    return [
+        link.submit(
+            partial(
+                link.request,
+                wire.MSG_ENROLL,
+                wire.pack_identified(fid, serialize_share_vector(vec)),
+            ),
+            deadline,
+        )
+        for link, vec in zip(links, vectors)
+    ]
 
 
 def _tombstone(point: int, cfg: ProtocolConfig) -> ShareVector:
@@ -466,12 +532,21 @@ class _ServerRefusal(Exception):
         super().__init__(f"server {point}: {message} (code {code})")
 
 
+def _refusal(link, rpayload: bytes) -> _ServerRefusal:
+    """The refusal an ERROR payload carries; one that does not parse is
+    that server's TransportError."""
+    try:
+        code, message = wire.unpack_error(rpayload)
+    except wire.FrameError as exc:
+        raise TransportError(f"server {link.point}: {exc}") from exc
+    return _ServerRefusal(link.point, code, message)
+
+
 def _send_query(link, fid: str, vec: ShareVector, cfg: ProtocolConfig) -> PartialCorrelation:
     payload = wire.pack_identified(fid, serialize_share_vector(vec))
     rtype, rpayload = link.request(wire.MSG_QUERY, payload)
     if rtype == wire.MSG_ERROR:
-        code, message = wire.unpack_error(rpayload)
-        raise _ServerRefusal(link.point, code, message)
+        raise _refusal(link, rpayload)
     if rtype != wire.MSG_PARTIAL:
         raise TransportError(f"server {link.point} sent frame type {rtype:#04x}")
     try:
@@ -492,51 +567,43 @@ def _fan_out(
     cfg: ProtocolConfig,
     stop_at: Optional[int],
 ) -> tuple[list[PartialCorrelation], list[int], list[_ServerRefusal]]:
-    """Query all servers concurrently; collect partials in arrival order.
+    """Send every server its query share; collect partials as they arrive.
 
-    Stops early once `stop_at` partials arrived (None collects all
-    responses until the deadline).  Every request is sent even after an
-    early stop, and has started by the time this returns.  Returns
-    (partials, unknown-id points, malformed-input refusals).
+    Each link runs its request as its transport decides (`submit`).  The
+    deadline is `cfg.timeout_ms` from now: a request that its link
+    reaches only after it fails as that server's TransportError and is
+    never sent, and waiting ends there.  Waiting also ends once `stop_at`
+    partials arrived (None waits for every reply); the requests left stay
+    with their links, which send each one they reach by the deadline.
+    Partials that arrive together keep link order.  Returns (partials, unknown-id
+    points, malformed-input refusals).
     """
     deadline = time.monotonic() + cfg.timeout_ms / 1000.0
+    futures = [
+        link.submit(partial(_send_query, link, fid, vec, cfg), deadline)
+        for link, vec in zip(links, vectors)
+    ]
     collected: list[PartialCorrelation] = []
     unknown: list[int] = []
     malformed: list[_ServerRefusal] = []
-    started = threading.Semaphore(0)
-
-    def send(link, vec: ShareVector) -> PartialCorrelation:
-        started.release()
-        return _send_query(link, fid, vec, cfg)
-
-    executor = ThreadPoolExecutor(max_workers=len(links))
-    try:
-        pending = {executor.submit(send, link, vec) for link, vec in zip(links, vectors)}
-        while pending:
-            if stop_at is not None and len(collected) >= stop_at:
-                break
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            done, pending = wait(pending, timeout=remaining, return_when=FIRST_COMPLETED)
-            if not done:
-                break
-            for fut in done:
-                try:
-                    collected.append(fut.result())
-                except _ServerRefusal as exc:
-                    if exc.code == wire.ERR_UNKNOWN_ID:
-                        unknown.append(exc.point)
-                    elif exc.code == wire.ERR_MALFORMED:
-                        malformed.append(exc)
-                except TransportError:
-                    pass
-    finally:
-        # Every request is handed to its link before the caller moves on,
-        # so no straggler is still queued when the caller's next one starts.
-        for _ in links:
-            started.acquire(timeout=max(0.0, deadline - time.monotonic()))
-        executor.shutdown(wait=False)
+    pending = set(futures)
+    while pending and (stop_at is None or len(collected) < stop_at):
+        remaining = max(0.0, deadline - time.monotonic())
+        done, pending = wait(pending, timeout=remaining, return_when=FIRST_COMPLETED)
+        if not done:
+            break
+        for fut in futures:
+            if fut not in done:
+                continue
+            try:
+                collected.append(fut.result())
+            except _ServerRefusal as exc:
+                if exc.code == wire.ERR_UNKNOWN_ID:
+                    unknown.append(exc.point)
+                elif exc.code == wire.ERR_MALFORMED:
+                    malformed.append(exc)
+            except TransportError:
+                pass
     return collected, unknown, malformed
 
 
@@ -600,13 +667,16 @@ def fetch_share(fid: str, link) -> ShareVector:
     """Pull one server's stored share for auditing."""
     rtype, rpayload = link.request(wire.MSG_FETCH, wire.pack_identified(fid))
     if rtype == wire.MSG_ERROR:
-        code, message = wire.unpack_error(rpayload)
-        if code == wire.ERR_UNKNOWN_ID:
+        refusal = _refusal(link, rpayload)
+        if refusal.code == wire.ERR_UNKNOWN_ID:
             raise UnknownFingerprint([link.point])
-        raise TransportError(f"server {link.point}: {message}")
+        raise TransportError(str(refusal))
     if rtype != wire.MSG_SHARE:
         raise TransportError(f"server {link.point} sent frame type {rtype:#04x}")
-    return deserialize_share_vector(rpayload)
+    try:
+        return deserialize_share_vector(rpayload)
+    except ValueError as exc:
+        raise TransportError(f"server {link.point}: {exc}") from exc
 
 
 @dataclass

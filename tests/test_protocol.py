@@ -1,5 +1,6 @@
 import random
 import socket
+import socketserver
 import threading
 import time
 from itertools import combinations
@@ -23,6 +24,7 @@ from sss_prnu import (
     ShareVector,
     TcpCloudServer,
     TcpLink,
+    TransportError,
     UnknownFingerprint,
     deserialize_share_vector,
     enroll,
@@ -254,6 +256,9 @@ def test_verify_identifies_lying_computation():
         def point(self):
             return self.inner.point
 
+        def submit(self, fn, deadline):
+            return self.inner.submit(fn, deadline)
+
         def request(self, ftype, payload):
             rtype, rpayload = self.inner.request(ftype, payload)
             if rtype == wire.MSG_PARTIAL:
@@ -319,6 +324,64 @@ def test_unparseable_partial_counts_as_a_transport_error():
     cluster.set_down([1])
     with pytest.raises(QuorumNotReached):
         query_residual(near, "cam", CFG, cluster.links, random.Random(5))
+
+
+def test_malformed_error_reply_counts_as_a_transport_error():
+    # Server 4 answers QUERY with an ERROR frame too short for its code.
+    cluster = make_cluster()
+    base, near, _ = sample_pair(24)
+    enroll(base, "cam", CFG, cluster.links, random.Random(1))
+    honest = query_residual(near, "cam", CFG, cluster.links, random.Random(2))
+    inner = cluster.servers[4].handle
+    cluster.servers[4].handle = lambda ftype, payload: (
+        (wire.MSG_ERROR, b"\x00") if ftype == wire.MSG_QUERY else inner(ftype, payload)
+    )
+    res = query_residual(near, "cam", CFG, cluster.links, random.Random(3))
+    assert res.semantic_key() == honest.semantic_key()
+    assert sorted(res.server_subset) == [1, 2, 3]
+    report = verify_residual(near, "cam", CFG, cluster.links, random.Random(4))
+    assert report.responding == (1, 2, 3)
+    assert report.consistent
+
+
+def test_malformed_share_reply_counts_as_a_transport_error():
+    # Server 5 answers FETCH with a 2-byte SHARE; the four stores it
+    # leaves still name the tampered one.
+    scheme = ShareScheme(l=2, n=5)
+    cfg = ProtocolConfig(scheme=scheme, threshold=0.5)
+    cluster = make_cluster(cfg)
+    base, near, _ = sample_pair(25)
+    enroll(base, "cam", cfg, cluster.links, random.Random(1))
+    cluster.tamper_stored(2, "cam", flip_one_element(random.Random(8), scheme.field.p))
+    inner = cluster.servers[5].handle
+    cluster.servers[5].handle = lambda ftype, payload: (
+        (wire.MSG_SHARE, b"\x00\x01") if ftype == wire.MSG_FETCH else inner(ftype, payload)
+    )
+    with pytest.raises(TransportError, match="share vector header truncated"):
+        fetch_share("cam", cluster.links[4])
+    report = verify_residual(near, "cam", cfg, cluster.links, random.Random(2))
+    assert report.responding == (1, 2, 3, 4, 5)
+    assert not report.consistent
+    assert report.suspects == (2,)
+
+
+def test_local_links_start_no_thread(monkeypatch):
+    started = []
+    real_start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread.name)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    cluster = make_cluster()
+    base, near, _ = sample_pair(26)
+    enroll(base, "cam", CFG, cluster.links, random.Random(1))
+    query_residual(near, "cam", CFG, cluster.links, random.Random(2))
+    assert verify_residual(near, "cam", CFG, cluster.links, random.Random(3)).consistent
+    cluster.tamper_stored(3, "cam", flip_one_element(random.Random(9), SCHEME.field.p))
+    assert verify_residual(near, "cam", CFG, cluster.links, random.Random(4)).suspects == (3,)
+    assert started == []
 
 
 @pytest.mark.parametrize("transport", ["local", "tcp"])
@@ -513,8 +576,78 @@ def test_tcp_unreachable_server_is_transport_error():
     probe.bind(("127.0.0.1", 0))
     dead_port = probe.getsockname()[1]
     probe.close()
-    from sss_prnu import TransportError
-
     link = TcpLink(1, ("127.0.0.1", dead_port), timeout_ms=300)
     with pytest.raises(TransportError):
         link.request(wire.MSG_FETCH, wire.pack_identified("x"))
+
+
+class _SerialTcpCloudServer(TcpCloudServer):
+    """Serves one connection at a time on its serve_forever thread, so a
+    hung request holds that thread and later connections wait unserved.
+    A connection idle for 5 s is dropped, so that one a client leaks
+    cannot keep the server from shutting down."""
+
+    def get_request(self):
+        sock, address = super().get_request()
+        sock.settimeout(5.0)
+        return sock, address
+
+    def process_request(self, request, client_address):
+        socketserver.TCPServer.process_request(self, request, client_address)
+
+
+def test_tcp_hung_server_costs_no_thread_per_query():
+    cfg = ProtocolConfig(scheme=SCHEME, threshold=0.5, timeout_ms=300)
+    release = threading.Event()
+    servers = []
+    for u in SCHEME.evaluation_points:
+        cloud = CloudServer(u, cfg)
+        if u == 4:
+            inner = cloud.handle
+
+            def hung_on_query(ftype, payload, inner=inner):
+                if ftype == wire.MSG_QUERY:
+                    release.wait(30)
+                return inner(ftype, payload)
+
+            cloud.handle = hung_on_query
+            srv = _SerialTcpCloudServer(("127.0.0.1", 0), cloud)
+        else:
+            srv = TcpCloudServer(("127.0.0.1", 0), cloud)
+        threading.Thread(
+            target=srv.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        ).start()
+        servers.append(srv)
+    links = [
+        TcpLink(u, srv.server_address, cfg.timeout_ms)
+        for u, srv in zip(SCHEME.evaluation_points, servers)
+    ]
+    try:
+        # Connect every link with a direct request, which starts no link
+        # worker, so that the baseline holds each server's handler thread.
+        for link in links:
+            rtype, _ = link.request(wire.MSG_FETCH, wire.pack_identified("ghost"))
+            assert rtype == wire.MSG_ERROR
+        baseline = threading.active_count()
+        base, near, _ = sample_pair(27)
+        enroll(base, "cam", cfg, links, random.Random(1))
+        rng = random.Random(2)
+        peak = baseline
+        for _ in range(20):
+            res = query_residual(near, "cam", cfg, links, rng)
+            assert sorted(res.server_subset) == [1, 2, 3]
+            peak = max(peak, threading.active_count())
+        assert peak <= baseline + SCHEME.n
+        t0 = time.monotonic()
+        for link in links:
+            link.close()
+        assert time.monotonic() - t0 < 1.0
+        assert threading.active_count() <= baseline
+        assert not [t for t in threading.enumerate() if t.name.startswith("TcpLink-")]
+    finally:
+        release.set()
+        for link in links:
+            link.close()
+        for srv in servers:
+            srv.shutdown()
+            srv.server_close()
