@@ -7,11 +7,11 @@ products over mean-centered vectors a, b:
 
 Each cloud server holds one share of a and one share of b, multiplies
 them elementwise (the single multiplication the sharing scheme allows),
-and sums locally; one exact Gram matrix of the two share vectors
-(`PrimeField.gram`) yields all three sums.  The resulting per-server
-partial sums are themselves shares of P, Q, R at the doubled degree, so
-a quorum of 2l-1 partials reconstructs the exact integer sums.  Only the
-final division and square root happen in plaintext, on the
+and sums locally (`PrimeField.sum_products`); the stored share's own
+sums (`own_sums`) do not depend on the query, so a server caches them.
+The per-server partial sums are shares of P, Q, R at the doubled degree,
+so a quorum of 2l-1 partials reconstructs the exact integer sums.  Only
+the final division and square root happen in plaintext, on the
 reconstructing side.
 
 Centering happens in one of two places.  With plaintext centering the
@@ -21,7 +21,7 @@ the shares carry raw values and each server applies the moment identity
     N * sum(a_k * b_k) - sum(a_k) * sum(b_k)
         = N * sum((a_k - mean a) * (b_k - mean b))
 
-to its Gram entries and share sums, so P, Q, R arrive scaled by N.
+to its sums of products and share sums, so P, Q, R arrive scaled by N.
 
 All field values are exact fixed-point integers, so under the capacity
 bound the reconstructed sums equal the plaintext sums bit for bit.
@@ -115,25 +115,32 @@ def prepare_vector(
     return share_vector(encode_vector(source, s, scheme.field), scheme, rng)
 
 
+def own_sums(a: ShareVector, scheme: ShareScheme, mode: Centering) -> tuple[int, Optional[int]]:
+    """Stored share a's own sums: sum(a*a), and sum(a) under encrypted centering."""
+    (aa,) = scheme.field.sum_products(a.values)
+    return aa, scheme.field.sum_vec(a.values) if mode is Centering.ENCRYPTED else None
+
+
 def compute_partials(
-    a: ShareVector, b: ShareVector, scheme: ShareScheme, mode: Centering
+    a: ShareVector, b: ShareVector, scheme: ShareScheme, mode: Centering, own: tuple = ()
 ) -> PartialCorrelation:
     """One server's local work: three sums of elementwise share products.
 
     Runs entirely on one server's pair of shares; no other server's
-    data is involved.  One Gram matrix of the two share vectors holds
-    the three raw sums.  Under encrypted centering the server applies
-    the moment identity N*sum(ab) - sum(a)*sum(b), which equals
-    N * sum((a - mean a)(b - mean b)); the share sums are fresh-degree,
+    data is involved.  `own` is a's `own_sums`, which a server caches;
+    without it they are computed here.  Under encrypted centering the
+    server applies the moment identity N*sum(ab) - sum(a)*sum(b), which
+    equals N * sum((a - mean a)(b - mean b)); the share sums are fresh-degree,
     so each term is still a single share multiplication and the
     outputs carry the doubled degree either way.
     """
     check_product_operands(a, b, scheme)
     f = scheme.field
-    (aa, ab), (_, bb) = f.gram([a.values, b.values])
+    aa, sa = own or own_sums(a, scheme, mode)
+    bb, ab = f.sum_products(b.values, [a.values])
     if mode is Centering.ENCRYPTED:
         count = len(a)
-        sa, sb = f.sum_vec(a.values), f.sum_vec(b.values)
+        sb = f.sum_vec(b.values)
         ab = f.sub(f.mul(count, ab), f.mul(sa, sb))
         aa = f.sub(f.mul(count, aa), f.mul(sa, sa))
         bb = f.sub(f.mul(count, bb), f.mul(sb, sb))

@@ -14,11 +14,10 @@ Every per-element step runs on two exact kernels:
     x * w', the wrapping difference x * w - q * p lies in [0, 2p), so one
     conditional subtract finishes it.  Exact for every p < 2**63, every
     w in [0, p) and every x < 2**64.
-  * `gram`: all pairwise sums of products sum_k a_k * b_k mod p over a
-    few vectors.  Values split into three 21-bit limbs; one `uint64`
-    matmul of the stacked limbs sums limb products below 2**42 each,
-    which stays exact for up to 2**22 columns per block.  Blocks and
-    limbs recombine in Python ints mod p.
+  * `sum_products`: sums of products sum_k x_k * y_k mod p, by 1-D
+    integer `np.dot`s (no BLAS) of 21-bit limbs.  Each limb product is
+    below 2**42, so a block of up to 2**22 columns stays exact in
+    `uint64`; blocks and limbs recombine in Python ints mod p.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ _SHIFT32 = np.array(32, dtype=ELEMENT_DTYPE)
 _LIMB_BITS = 21
 _LIMB_MASK = np.array((1 << _LIMB_BITS) - 1, dtype=ELEMENT_DTYPE)
 _LIMB_SHIFT = np.array(_LIMB_BITS, dtype=ELEMENT_DTYPE)
-# Columns per Gram block: (2**21 - 1)**2 * 2**22 < 2**64.
+# Columns per block of limb dots: (2**21 - 1)**2 * 2**22 < 2**64.
 GRAM_BLOCK = 1 << 22
 # Elements per pass of the Shoup kernel.
 _CHUNK = 1 << 15
@@ -133,15 +132,14 @@ def _shoup(
         np.minimum(out, u, out=out)
 
 
-def _limbs(rows: Sequence[np.ndarray]) -> np.ndarray:
-    """(3 * len(rows), n) stack of the 21-bit limbs of each row, low limb
-    first; values must be below 2**63."""
-    out = np.empty((3 * len(rows), len(rows[0])), dtype=ELEMENT_DTYPE)
-    for i, x in enumerate(rows):
-        np.bitwise_and(x, _LIMB_MASK, out=out[3 * i])
-        np.right_shift(x, _LIMB_SHIFT, out=out[3 * i + 1])
-        np.bitwise_and(out[3 * i + 1], _LIMB_MASK, out=out[3 * i + 1])
-        np.right_shift(x, _LIMB_SHIFT + _LIMB_SHIFT, out=out[3 * i + 2])
+def _limbs(x: np.ndarray) -> np.ndarray:
+    """(3, n) array of the 21-bit limbs of x, low limb first; values must
+    be below 2**63."""
+    out = np.empty((3, len(x)), dtype=ELEMENT_DTYPE)
+    np.bitwise_and(x, _LIMB_MASK, out=out[0])
+    np.right_shift(x, _LIMB_SHIFT, out=out[1])
+    np.bitwise_and(out[1], _LIMB_MASK, out=out[1])
+    np.right_shift(x, _LIMB_SHIFT + _LIMB_SHIFT, out=out[2])
     return out
 
 
@@ -258,23 +256,25 @@ class PrimeField:
         hi = int(np.sum(x >> _SHIFT32, dtype=ELEMENT_DTYPE))
         return (lo + (hi << 32)) % self.p
 
-    def gram(self, rows: Sequence[np.ndarray]) -> list[list[int]]:
-        """G[i][j] = sum_k rows[i][k] * rows[j][k] mod p, exactly.
-
-        One `uint64` matmul of the stacked 21-bit limbs per block of
+    def sum_products(self, x: np.ndarray, others: Sequence[np.ndarray] = ()) -> list[int]:
+        """[sum_k x_k * x_k, then sum_k x_k * y_k for each y in others] mod
+        p, exactly, by 1-D integer dots of 21-bit limbs per block of
         GRAM_BLOCK columns; limbs and blocks recombine in Python ints.
         """
-        k = len(rows)
-        length = len(rows[0])
-        if any(len(r) != length for r in rows):
-            raise ValueError("Gram rows differ in length")
-        if length and max(int(r.max()) for r in rows) >= self.p:
-            raise ValueError(f"Gram rows hold values outside Z_{self.p}")
-        total = np.zeros((3 * k, 3 * k), dtype=object)
+        length = len(x)
+        if any(len(y) != length for y in others):
+            raise ValueError("vectors differ in length")
+        if length and max(int(v.max()) for v in (x, *others)) >= self.p:
+            raise ValueError(f"vectors hold values outside Z_{self.p}")
+        sums = [0] * (1 + len(others))
         for start in range(0, length, GRAM_BLOCK):
-            limbs = _limbs([r[start : start + GRAM_BLOCK] for r in rows])
-            total += (limbs @ limbs.T).astype(object)
-        # Limb a of a row carries the weight 2**(21 a).
-        weight = np.array([1 << (_LIMB_BITS * a) for a in range(3)] * k, dtype=object)
-        sums = (total * np.outer(weight, weight)).reshape(k, 3, k, 3).sum(axis=(1, 3))
-        return [[int(v) % self.p for v in row] for row in sums]
+            xl = _limbs(x[start : start + GRAM_BLOCK])
+            for t, y in enumerate((x, *others)):
+                yl = _limbs(y[start : start + GRAM_BLOCK]) if t else xl
+                # Limb i weighs 2**(21 i).  The square takes each off-diagonal
+                # limb pair once and doubles it by one more bit of shift.
+                for i in range(3):
+                    for j in range(0 if t else i, 3):
+                        shift = _LIMB_BITS * (i + j) + (not t and i != j)
+                        sums[t] += int(np.dot(xl[i], yl[j])) << shift
+        return [v % self.p for v in sums]

@@ -54,6 +54,7 @@ from .correlation import (
     compute_partials,
     deserialize_partial,
     finalize,
+    own_sums,
     prepare_vector,
     reconstruct_partials,
     reconstruct_sum_ints,
@@ -144,10 +145,10 @@ class ServerStore:
     """One server's share database: fingerprint id -> ShareVector.
 
     Optionally persistent: one file per id under `directory`, named by
-    the hex of the id so arbitrary ids stay filesystem-safe.  A file
-    whose name or contents do not parse is logged and skipped, so one
-    bad file cannot keep the server from starting.  All mutations go
-    through one lock.
+    the hex of the id so arbitrary ids stay filesystem-safe.  A file that
+    does not parse or holds another point's share is logged and skipped,
+    so one bad file cannot keep the server from starting.  All mutations
+    go through one lock.
     """
 
     def __init__(self, point: int, directory: Optional[str] = None):
@@ -163,16 +164,20 @@ class ServerStore:
                 try:
                     fid = bytes.fromhex(name[: -len(".share")]).decode("utf-8")
                     with open(os.path.join(directory, name), "rb") as fh:
-                        self._vectors[fid] = deserialize_share_vector(fh.read())
+                        self._vectors[fid] = self._check_point(deserialize_share_vector(fh.read()))
                 except ValueError as exc:
                     _log.warning("skipping share file %s in %s: %s", name, directory, exc)
 
     def _path(self, fid: str) -> str:
         return os.path.join(self.directory, fid.encode("utf-8").hex() + ".share")
 
-    def put(self, fid: str, vec: ShareVector) -> None:
+    def _check_point(self, vec: ShareVector) -> ShareVector:
         if vec.point != self.point:
             raise ValueError(f"share for point {vec.point} stored at server {self.point}")
+        return vec
+
+    def put(self, fid: str, vec: ShareVector) -> None:
+        self._check_point(vec)
         with self._lock:
             self._vectors[fid] = vec
             if self.directory is not None:
@@ -205,6 +210,7 @@ class CloudServer:
         self.point = point
         self.cfg = cfg
         self.store = store if store is not None else ServerStore(point)
+        self._own: dict[str, tuple] = {}  # fid -> (stored vector, its own_sums)
 
     def safe_handle(self, ftype: int, payload: bytes) -> tuple[int, bytes]:
         """handle() with every failure mapped to an ERROR frame."""
@@ -237,6 +243,7 @@ class CloudServer:
     def _enroll(self, payload: bytes) -> tuple[int, bytes]:
         fid, rest = wire.unpack_identified(payload)
         vec = deserialize_share_vector(rest)
+        self._own.pop(fid, None)
         if len(vec) == 0:
             # Zero-length vector is the delete marker used for rollback.
             self.store.delete(fid)
@@ -260,7 +267,12 @@ class CloudServer:
             raise wire.FrameError(
                 f"query has {len(qvec)} elements but id {fid!r} was enrolled with {len(stored)}"
             )
-        pc = compute_partials(stored, qvec, self.cfg.scheme, self.cfg.mode)
+        # Cached from the id's first QUERY until its next ENROLL; an entry for
+        # a vector the store no longer holds (tampered, reloaded) is refilled.
+        entry = self._own.get(fid)
+        if entry is None or entry[0] is not stored:
+            entry = self._own[fid] = (stored, own_sums(stored, self.cfg.scheme, self.cfg.mode))
+        pc = compute_partials(stored, qvec, self.cfg.scheme, self.cfg.mode, entry[1])
         return wire.MSG_PARTIAL, serialize_partial(pc)
 
     def _fetch(self, payload: bytes) -> tuple[int, bytes]:
@@ -491,7 +503,7 @@ def enroll(
         else:
             failed.append(link.point)
     if failed:
-        tombstones = [_tombstone(link.point, cfg) for link in acked]
+        tombstones = [ShareVector(link.point, [], cfg.scheme.fresh_degree) for link in acked]
         for fut in _submit_enroll(acked, tombstones, fid, cfg):
             try:
                 fut.result()
@@ -517,10 +529,6 @@ def _submit_enroll(
         )
         for link, vec in zip(links, vectors)
     ]
-
-
-def _tombstone(point: int, cfg: ProtocolConfig) -> ShareVector:
-    return ShareVector(point, [], cfg.scheme.fresh_degree)
 
 
 class _ServerRefusal(Exception):
@@ -791,12 +799,16 @@ def verify_residual(
     suspects: set[int] = set()
     implicated: dict[int, list[tuple[int, ...]]] = {}
     if not consistent:
+        # Every FETCH under one deadline, with `_fan_out`'s rule.
+        deadline = time.monotonic() + cfg.timeout_ms / 1000.0
+        answered = [link for link in links if link.point in by_point]
+        futures = [link.submit(partial(fetch_share, fid, link), deadline) for link in answered]
+        wait(futures, timeout=max(0.0, deadline - time.monotonic()))
         fetched: dict[int, ShareVector] = {}
-        for link in links:
-            if link.point not in by_point:
-                continue
+        for link, fut in zip(answered, futures):
             try:
-                fetched[link.point] = fetch_share(fid, link)
+                if fut.done():
+                    fetched[link.point] = fut.result()
             except (TransportError, UnknownFingerprint):
                 continue
         suspects |= _audit_stored_shares(fetched, scheme)

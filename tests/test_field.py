@@ -108,7 +108,8 @@ def test_elementwise_kernels_match_python_ints(p):
 @pytest.mark.parametrize("p", KERNEL_PRIMES)
 @pytest.mark.parametrize("block", [64, field.GRAM_BLOCK])
 def test_gram_matches_python_ints_across_blocks(p, block, monkeypatch):
-    # A shrunken block puts the sizes below on both sides of it.
+    # `sum_products` against Python ints.  A shrunken block puts the sizes
+    # below on both sides of it; all-(p-1) rows give the largest limbs.
     monkeypatch.setattr(field, "GRAM_BLOCK", block)
     f = PrimeField(p)
     rng = random.Random(p + 2)
@@ -117,19 +118,20 @@ def test_gram_matches_python_ints_across_blocks(p, block, monkeypatch):
             [[p - 1] * n, [p - 1] * n],
             [[rng.randrange(p) for _ in range(n)] for _ in range(3)],
         ):
-            expected = [[sum(x * y for x, y in zip(r, s)) % p for s in rows] for r in rows]
-            vecs = [np.array(r, dtype=np.uint64) for r in rows]
-            assert f.gram(vecs) == expected
+            expected = [sum(x * y for x, y in zip(rows[0], r)) % p for r in rows]
+            x, *others = [np.array(r, dtype=np.uint64) for r in rows]
+            assert f.sum_products(x, others) == expected
+            assert f.sum_products(x) == expected[:1]
 
 
 def test_gram_block_bound_and_guards():
     # Limb products stay below 2**42; a full block of them fits uint64.
     assert (2**21 - 1) ** 2 * field.GRAM_BLOCK < 2**64
     f = PrimeField(17)
-    with pytest.raises(ValueError):
-        f.gram([np.array([17], dtype=np.uint64)])
-    with pytest.raises(ValueError):
-        f.gram([np.array([1, 2], dtype=np.uint64), np.array([1], dtype=np.uint64)])
+    one, two, p = (np.array(v, dtype=np.uint64) for v in ([1], [1, 2], [17]))
+    for x, others in ((p, []), (one, [p]), (two, [one]), (one, [one, two])):
+        with pytest.raises(ValueError):
+            f.sum_products(x, others)
 
 
 @pytest.mark.parametrize(

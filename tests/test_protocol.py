@@ -1,6 +1,7 @@
 import random
 import socket
 import socketserver
+import sys
 import threading
 import time
 from itertools import combinations
@@ -26,10 +27,13 @@ from sss_prnu import (
     TcpLink,
     TransportError,
     UnknownFingerprint,
+    compute_partials,
+    deserialize_partial,
     deserialize_share_vector,
     enroll,
     fetch_share,
     flip_one_element,
+    prepare_vector,
     query_residual,
     reconstruct_vector,
     serialize_share_vector,
@@ -455,13 +459,125 @@ def test_store_skips_unreadable_files(tmp_path, caplog):
     (tmp_path / truncated).write_bytes(b"\x00\x01")
     (tmp_path / "not-hex.share").write_bytes(b"")
     (tmp_path / ("ff" + ".share")).write_bytes(b"")  # hex, but not utf-8
+    # A readable share of another point, as ServerStore(3) writes it.
+    other = "cam-c".encode("utf-8").hex() + ".share"
+    (tmp_path / other).write_bytes(serialize_share_vector(ShareVector(3, [2, 7], 1)))
     with caplog.at_level("WARNING", logger="sss_prnu.protocol"):
         reloaded = ServerStore(2, str(tmp_path))
     assert reloaded.ids() == ["cam-a"]
     assert reloaded.get("cam-a") == good
     warned = " ".join(record.getMessage() for record in caplog.records)
-    for name in (truncated, "not-hex.share", "ff.share"):
+    for name in (truncated, "not-hex.share", "ff.share", other):
         assert name in warned
+
+
+def _server_partial(link, fid, vec, cfg):
+    """One QUERY straight to a server: its partial, or its error code."""
+    rtype, rpayload = link.request(
+        wire.MSG_QUERY, wire.pack_identified(fid, serialize_share_vector(vec))
+    )
+    if rtype == wire.MSG_ERROR:
+        return wire.unpack_error(rpayload)[0]
+    return deserialize_partial(rpayload, cfg.scheme)
+
+
+@pytest.mark.parametrize("mode", list(Centering))
+def test_cached_own_sums_follow_the_store(mode, tmp_path):
+    cfg = ProtocolConfig(scheme=SCHEME, threshold=0.5, mode=mode)
+    cluster = make_cluster(cfg, store_root=str(tmp_path))
+    server, link = cluster.servers[2], cluster.links[1]
+    base, near, far = sample_pair(29)
+    qvec = prepare_vector(near, cfg.scaling, SCHEME, mode, random.Random(3))[1]
+
+    def assert_fresh():
+        fresh = compute_partials(server.store.get("cam"), qvec, SCHEME, mode)
+        assert _server_partial(link, "cam", qvec, cfg) == fresh
+
+    enroll(base, "cam", cfg, cluster.links, random.Random(1))
+    assert_fresh()
+    assert_fresh()  # answered from the cache
+    cluster.tamper_stored(2, "cam", flip_one_element(random.Random(5), SCHEME.field.p))
+    assert_fresh()
+    enroll(far, "cam", cfg, cluster.links, random.Random(6))
+    assert_fresh()
+    # Another store object rewrites the file; the server reloads it.
+    directory = server.store.directory
+    flip = flip_one_element(random.Random(8), SCHEME.field.p)
+    ServerStore(2, directory).put("cam", flip(server.store.get("cam")))
+    server.store = ServerStore(2, directory)
+    assert_fresh()
+    tombstone = ShareVector(2, [], SCHEME.fresh_degree)
+    rtype, _ = link.request(
+        wire.MSG_ENROLL, wire.pack_identified("cam", serialize_share_vector(tombstone))
+    )
+    assert rtype == wire.MSG_ENROLL_ACK
+    assert "cam" not in server._own  # no reference to the deleted share
+    assert _server_partial(link, "cam", qvec, cfg) == wire.ERR_UNKNOWN_ID
+
+
+def test_cached_own_sums_under_racing_enrolls():
+    # One writer re-enrolls two shares in turn while readers query the same
+    # server; each partial must belong wholly to one of the two shares.
+    cfg = CFG
+    server = CloudServer(1, cfg)
+    shares = [
+        prepare_vector(m, cfg.scaling, SCHEME, cfg.mode, random.Random(i))[0]
+        for i, m in enumerate(sample_pair(32)[::2])
+    ]
+    qvec = prepare_vector(sample_pair(32)[1], cfg.scaling, SCHEME, cfg.mode, random.Random(9))[0]
+    allowed = {compute_partials(v, qvec, SCHEME, cfg.mode) for v in shares}
+    enrolls = [wire.pack_identified("cam", serialize_share_vector(v)) for v in shares]
+    query = wire.pack_identified("cam", serialize_share_vector(qvec))
+    server.handle(wire.MSG_ENROLL, enrolls[0])
+    stop = threading.Event()
+    seen = []
+
+    def reader():
+        while not stop.is_set():
+            rtype, rpayload = server.handle(wire.MSG_QUERY, query)
+            seen.append(rtype == wire.MSG_PARTIAL and deserialize_partial(rpayload, SCHEME) in allowed)
+
+    def writer():
+        for i in range(400):
+            server.handle(wire.MSG_ENROLL, enrolls[i % 2])
+        stop.set()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader) for _ in range(3)]
+        threads.append(threading.Thread(target=writer))
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        stop.set()
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert seen and all(seen)
+
+
+def test_enroll_computes_no_dot_products(monkeypatch):
+    dots = []
+    real_dot = np.dot
+
+    def counting_dot(*args, **kwargs):
+        dots.append(1)
+        return real_dot(*args, **kwargs)
+
+    monkeypatch.setattr(np, "dot", counting_dot)
+    cluster = make_cluster()
+    base, near, _ = sample_pair(30)
+    enroll(base, "cam", CFG, cluster.links, random.Random(1))
+    assert dots == []
+    # Every server answers inline.  The first query fills each server's
+    # cache (6 dots for the stored square, 15 for the query's sums); later
+    # ones reuse it.
+    query_residual(near, "cam", CFG, cluster.links, random.Random(2))
+    assert len(dots) == SCHEME.n * 21
+    query_residual(near, "cam", CFG, cluster.links, random.Random(3))
+    assert len(dots) == SCHEME.n * (21 + 15)
 
 
 def test_cluster_persistence_across_restart(tmp_path):
@@ -594,6 +710,48 @@ class _SerialTcpCloudServer(TcpCloudServer):
 
     def process_request(self, request, client_address):
         socketserver.TCPServer.process_request(self, request, client_address)
+
+
+def test_tcp_tampered_verify_fetches_under_one_deadline():
+    scheme = ShareScheme(l=2, n=6)
+    cfg = ProtocolConfig(scheme=scheme, threshold=0.5, timeout_ms=300)
+    release = threading.Event()
+    clouds, servers = [], []
+    for u in scheme.evaluation_points:
+        cloud = CloudServer(u, cfg)
+        if u >= 5:
+            inner = cloud.handle
+
+            def hung_on_fetch(ftype, payload, inner=inner):
+                if ftype == wire.MSG_FETCH:
+                    release.wait(30)
+                return inner(ftype, payload)
+
+            cloud.handle = hung_on_fetch
+        srv = TcpCloudServer(("127.0.0.1", 0), cloud)
+        threading.Thread(
+            target=srv.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        ).start()
+        clouds.append(cloud)
+        servers.append(srv)
+    links = [TcpLink(c.point, s.server_address, cfg.timeout_ms) for c, s in zip(clouds, servers)]
+    try:
+        base, near, _ = sample_pair(31)
+        enroll(base, "cam", cfg, links, random.Random(1))
+        store = clouds[1].store
+        store.put("cam", flip_one_element(random.Random(5), scheme.field.p)(store.get("cam")))
+        t0 = time.monotonic()
+        report = verify_residual(near, "cam", cfg, links, random.Random(2))
+        elapsed = time.monotonic() - t0
+        assert report.suspects == (2,)
+        assert elapsed < 1.5 * cfg.timeout_ms / 1000.0
+    finally:
+        release.set()
+        for link in links:
+            link.close()
+        for srv in servers:
+            srv.shutdown()
+            srv.server_close()
 
 
 def test_tcp_hung_server_costs_no_thread_per_query():
