@@ -7,8 +7,8 @@ products over mean-centered vectors a, b:
 
 Each cloud server holds one share of a and one share of b, multiplies
 them elementwise (the single multiplication the sharing scheme allows),
-and sums locally (`PrimeField.sum_products`); the stored share's own
-sums (`own_sums`) do not depend on the query, so a server caches them.
+and sums locally (`PrimeField.sum_products`); the stored share's Q
+share does not depend on the query, so a server caches it.
 The per-server partial sums are shares of P, Q, R at the doubled degree,
 so a quorum of 2l-1 partials reconstructs the exact integer sums.  Only
 the final division and square root happen in plaintext, on the
@@ -101,54 +101,50 @@ def prepare_vector(
     flat = np.asarray(m, dtype=np.float64).ravel()
     if flat.size == 0:
         raise ValueError("cannot share an empty matrix")
-    centered = flat - flat.mean()
-    max_centered = float(np.max(np.abs(centered)))
-    if mode is Centering.PLAINTEXT:
-        # Half a unit of rounding slack per element, in plaintext units.
-        bound = max_centered + 0.5 / s.scale
-        source = centered
-    else:
-        # Centering over integers leaves up to one full unit of slack.
-        bound = max_centered + 1.0 / s.scale
-        source = flat
+    mean = flat.mean()
+    # max |x - mean| with no N-sized temporary: x - mean rounds
+    # monotonically in x, so its extremes are those of the max and the min.
+    max_centered = max(float(flat.max() - mean), float(mean - flat.min()))
+    plaintext = mode is Centering.PLAINTEXT
+    # Half a unit of rounding slack per element, in plaintext units;
+    # centering over integers leaves up to one full unit.
+    bound = max_centered + (0.5 if plaintext else 1.0) / s.scale
     capacity_check(int(flat.size), bound, s, scheme.field, mode)
-    return share_vector(encode_vector(source, s, scheme.field), scheme, rng)
-
-
-def own_sums(a: ShareVector, scheme: ShareScheme, mode: Centering) -> tuple[int, Optional[int]]:
-    """Stored share a's own sums: sum(a*a), and sum(a) under encrypted centering."""
-    (aa,) = scheme.field.sum_products(a.values)
-    return aa, scheme.field.sum_vec(a.values) if mode is Centering.ENCRYPTED else None
+    # The centered copy is freed before the share pass starts.
+    secrets = encode_vector(flat - mean if plaintext else flat, s, scheme.field)
+    return share_vector(secrets, scheme, rng)
 
 
 def compute_partials(
-    a: ShareVector, b: ShareVector, scheme: ShareScheme, mode: Centering, own: tuple = ()
+    a: ShareVector, b: ShareVector, scheme: ShareScheme, mode: Centering, q: Optional[int] = None
 ) -> PartialCorrelation:
     """One server's local work: three sums of elementwise share products.
 
-    Runs entirely on one server's pair of shares; no other server's
-    data is involved.  `own` is a's `own_sums`, which a server caches;
-    without it they are computed here.  Under encrypted centering the
-    server applies the moment identity N*sum(ab) - sum(a)*sum(b), which
-    equals N * sum((a - mean a)(b - mean b)); the share sums are fresh-degree,
-    so each term is still a single share multiplication and the
-    outputs carry the doubled degree either way.
+    Runs on one server's pair of shares alone.  `q` is a's Q share from
+    an earlier partial, which a server caches; without it, Q is summed
+    from the same limb split of a as P.  Under encrypted centering the
+    moment identity N*sum(ab) - sum(a)*sum(b) equals
+    N * sum((a - mean a)(b - mean b)); the share sums are fresh-degree, so
+    each term is still one share multiplication, of the doubled degree.
     """
     check_product_operands(a, b, scheme)
     f = scheme.field
-    aa, sa = own or own_sums(a, scheme, mode)
-    bb, ab = f.sum_products(b.values, [a.values])
-    if mode is Centering.ENCRYPTED:
-        count = len(a)
-        sb = f.sum_vec(b.values)
-        ab = f.sub(f.mul(count, ab), f.mul(sa, sb))
-        aa = f.sub(f.mul(count, aa), f.mul(sa, sa))
-        bb = f.sub(f.mul(count, bb), f.mul(sb, sb))
+    encrypted = mode is Centering.ENCRYPTED
+    sa, sb = (f.sum_vec(a.values), f.sum_vec(b.values)) if encrypted else (0, 0)
+
+    def center(xy: int, sx: int, sy: int) -> int:
+        return f.sub(f.mul(len(a), xy), f.mul(sx, sy)) if encrypted else xy
+
+    if q is None:
+        aa, bb, ab = f.sum_products([a.values, b.values], [(0, 0), (1, 1), (0, 1)])
+        q = center(aa, sa, sa)
+    else:
+        bb, ab = f.sum_products([b.values, a.values], [(0, 0), (0, 1)])
     return PartialCorrelation(
         point=a.point,
-        p_share=ab,
-        q_share=aa,
-        r_share=bb,
+        p_share=center(ab, sa, sb),
+        q_share=q,
+        r_share=center(bb, sb, sb),
         degree_hint=scheme.product_degree,
     )
 

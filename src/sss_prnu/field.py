@@ -5,8 +5,9 @@ Single field elements are canonical residues: plain Python ints in
 `inv`, `signed`) take and return them.
 
 Share vectors are one-dimensional `uint64` ndarrays of canonical
-residues; p < 2**63 keeps a residue, and the sum of two, below 2**64.
-Every per-element step runs on two exact kernels:
+residues; p < 2**63 keeps a residue, and the sum of two, below 2**64,
+so share generation (`sharing.share_vector`) needs only additions.
+Every per-element product runs on two exact kernels:
 
   * `mul_scalar`: (x * w + a) mod p for a vector x, a public scalar w
     and an optional canonical addend a, by Shoup's precomputed-quotient
@@ -14,16 +15,17 @@ Every per-element step runs on two exact kernels:
     x * w', the wrapping difference x * w - q * p lies in [0, 2p), so one
     conditional subtract finishes it.  Exact for every p < 2**63, every
     w in [0, p) and every x < 2**64.
-  * `sum_products`: sums of products sum_k x_k * y_k mod p, by 1-D
-    integer `np.dot`s (no BLAS) of 21-bit limbs.  Each limb product is
-    below 2**42, so a block of up to 2**22 columns stays exact in
-    `uint64`; blocks and limbs recombine in Python ints mod p.
+  * `sum_products`: sums of products sum_k x_k * y_k mod p over chosen
+    pairs of vectors, by 1-D integer `np.dot`s (no BLAS) of 21-bit
+    limbs, each vector split once.  Each limb product is below 2**42,
+    so a block of up to 2**22 columns stays exact in `uint64`; blocks
+    and limbs recombine in Python ints mod p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -47,8 +49,8 @@ _LIMB_MASK = np.array((1 << _LIMB_BITS) - 1, dtype=ELEMENT_DTYPE)
 _LIMB_SHIFT = np.array(_LIMB_BITS, dtype=ELEMENT_DTYPE)
 # Columns per block of limb dots: (2**21 - 1)**2 * 2**22 < 2**64.
 GRAM_BLOCK = 1 << 22
-# Elements per pass of the Shoup kernel.
-_CHUNK = 1 << 15
+# Elements per pass of the chunked kernels: `mul_scalar` and share generation.
+CHUNK = 1 << 15
 
 
 class FieldError(ValueError):
@@ -207,47 +209,30 @@ class PrimeField:
         return out
 
     def mul_scalar(
-        self,
-        x: np.ndarray,
-        w: Union[int, Sequence[int]],
-        plus: Optional[np.ndarray] = None,
+        self, x: np.ndarray, w: int, plus: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        """(x * w + plus) mod p by Shoup's method.
-
-        x may hold any value below 2**64.  `w` is one residue, or a
-        sequence of residues, one per row of the result (a 1-D x is then
-        used for every row).  `plus`, if given, is a vector or matrix of
-        canonical residues, one per column, that broadcasts against the
-        result.
-        """
+        """(x * w + plus) mod p by Shoup's method, for a vector x of values
+        below 2**64, a residue w and, if given, a vector `plus` of
+        canonical residues."""
         p = self.p
-        single = isinstance(w, (int, np.integer))
-        ws = [int(w) % p] if single else [int(v) % p for v in w]
-        wqs = [(v << 64) // p for v in ws]
-        # Shoup operands w, lo32(w'), hi32(w'): one per row, or shape (1,).
-        multiplier = np.array(
-            [ws, [q & 0xFFFFFFFF for q in wqs], [q >> 32 for q in wqs]], dtype=ELEMENT_DTYPE
-        ).reshape((3, 1) if single else (3, len(ws), 1))
-        out = np.empty(x.shape if single else (len(ws), x.shape[-1]), dtype=ELEMENT_DTYPE)
+        w = int(w) % p
+        wq = (w << 64) // p
+        # Shoup operands w, lo32(w'), hi32(w').
+        multiplier = np.array([[w], [wq & 0xFFFFFFFF], [wq >> 32]], dtype=ELEMENT_DTYPE)
+        out = np.empty(len(x), dtype=ELEMENT_DTYPE)
         if plus is not None:
             plus = np.asarray(plus, dtype=ELEMENT_DTYPE)
         # Column chunks keep the four scratch buffers cache-sized and
         # reused; fresh temporaries of share-vector size would cost a
         # page fault per page on every operation.
-        rows = out.shape[0] if out.ndim == 2 else 1
-        cols = max(1, min(_CHUNK // rows, out.shape[-1]))
-        scratch = np.empty((4, *out.shape[:-1], cols), dtype=ELEMENT_DTYPE)
+        cols = max(1, min(CHUNK, len(x)))
+        scratch = np.empty((4, cols), dtype=ELEMENT_DTYPE)
         pv = np.array(p, dtype=ELEMENT_DTYPE)
-        for start in range(0, out.shape[-1], cols):
+        for start in range(0, len(x), cols):
             part = slice(start, start + cols)
-            _shoup(
-                x[..., part],
-                multiplier,
-                pv,
-                None if plus is None else plus[..., part],
-                out[..., part],
-                scratch[..., : min(cols, out.shape[-1] - start)],
-            )
+            width = min(cols, len(x) - start)
+            addend = None if plus is None else plus[part]
+            _shoup(x[part], multiplier, pv, addend, out[part], scratch[:, :width])
         return out
 
     def sum_vec(self, x: np.ndarray) -> int:
@@ -256,25 +241,28 @@ class PrimeField:
         hi = int(np.sum(x >> _SHIFT32, dtype=ELEMENT_DTYPE))
         return (lo + (hi << 32)) % self.p
 
-    def sum_products(self, x: np.ndarray, others: Sequence[np.ndarray] = ()) -> list[int]:
-        """[sum_k x_k * x_k, then sum_k x_k * y_k for each y in others] mod
-        p, exactly, by 1-D integer dots of 21-bit limbs per block of
-        GRAM_BLOCK columns; limbs and blocks recombine in Python ints.
+    def sum_products(
+        self, vectors: Sequence[np.ndarray], pairs: Sequence[tuple[int, int]]
+    ) -> list[int]:
+        """[sum_k u_k * v_k mod p for u, v = vectors[i], vectors[j], for each
+        (i, j) in pairs], exactly, by 1-D integer dots of 21-bit limbs per
+        block of GRAM_BLOCK columns; every vector is split into limbs once
+        per block, and limbs and blocks recombine in Python ints.
         """
-        length = len(x)
-        if any(len(y) != length for y in others):
+        length = len(vectors[0])
+        if any(len(v) != length for v in vectors):
             raise ValueError("vectors differ in length")
-        if length and max(int(v.max()) for v in (x, *others)) >= self.p:
+        if length and max(int(v.max()) for v in vectors) >= self.p:
             raise ValueError(f"vectors hold values outside Z_{self.p}")
-        sums = [0] * (1 + len(others))
+        sums = [0] * len(pairs)
         for start in range(0, length, GRAM_BLOCK):
-            xl = _limbs(x[start : start + GRAM_BLOCK])
-            for t, y in enumerate((x, *others)):
-                yl = _limbs(y[start : start + GRAM_BLOCK]) if t else xl
-                # Limb i weighs 2**(21 i).  The square takes each off-diagonal
+            limbs = [_limbs(v[start : start + GRAM_BLOCK]) for v in vectors]
+            for t, (a, b) in enumerate(pairs):
+                xl, yl = limbs[a], limbs[b]
+                # Limb i weighs 2**(21 i).  A square takes each off-diagonal
                 # limb pair once and doubles it by one more bit of shift.
                 for i in range(3):
-                    for j in range(0 if t else i, 3):
-                        shift = _LIMB_BITS * (i + j) + (not t and i != j)
+                    for j in range(i if a == b else 0, 3):
+                        shift = _LIMB_BITS * (i + j) + (a == b and i != j)
                         sums[t] += int(np.dot(xl[i], yl[j])) << shift
         return [v % self.p for v in sums]

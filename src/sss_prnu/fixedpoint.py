@@ -92,19 +92,26 @@ def encode_vector(xs: np.ndarray, s: Scaling, field: PrimeField) -> np.ndarray:
     land at p - |m| so `PrimeField.signed` recovers them exactly.
     Raises OutOfRange unless every |m| is at most (p-1)/2.
     """
-    xs = np.asarray(xs, dtype=np.float64)
-    scaled = xs * s.scale
-    m = np.where(scaled >= 0, np.floor(scaled + 0.5), np.ceil(scaled - 0.5))
+    m = np.asarray(xs, dtype=np.float64) * s.scale
+    # trunc(x + copysign(0.5, x)) is floor(x + 0.5) for x >= 0 and
+    # ceil(x - 0.5) below, bit for bit.
+    half = np.copysign(0.5, m)
+    m += half
+    np.trunc(m, out=m)
     # Every finite m is an integer-valued float, so int() of the peak
-    # magnitude compares exactly against the signed range.
-    if m.size:
-        worst = int(np.argmax(np.abs(m)))
-        peak = abs(float(m[worst]))
-        if not math.isfinite(peak) or int(peak) > field.half:
-            raise OutOfRange(
-                f"|{xs[worst]}| scaled by 10^{s.d} exceeds the signed field range"
-            )
-    return np.mod(m.astype(np.int64), field.p).astype(ELEMENT_DTYPE)
+    # magnitude compares exactly against the signed range; a NaN makes
+    # both the min and the max NaN.
+    peak = max(-float(m.min()), float(m.max())) if m.size else 0.0
+    if not math.isfinite(peak) or int(peak) > field.half:
+        x = np.asarray(xs).flat[int(np.argmax(np.abs(m)))]
+        raise OutOfRange(f"|{x}| scaled by 10^{s.d} exceeds the signed field range")
+    # Signed lift: q + p for q < 0, as q >> 63 is all ones exactly there.
+    q = m.astype(np.int64)
+    lift = half.view(np.int64)
+    np.right_shift(q, 63, out=lift)
+    lift &= field.p
+    q += lift
+    return q.view(ELEMENT_DTYPE)
 
 
 def capacity_check(

@@ -54,7 +54,6 @@ from .correlation import (
     compute_partials,
     deserialize_partial,
     finalize,
-    own_sums,
     prepare_vector,
     reconstruct_partials,
     reconstruct_sum_ints,
@@ -210,7 +209,7 @@ class CloudServer:
         self.point = point
         self.cfg = cfg
         self.store = store if store is not None else ServerStore(point)
-        self._own: dict[str, tuple] = {}  # fid -> (stored vector, its own_sums)
+        self._own: dict[str, tuple] = {}  # fid -> (stored vector, its Q share)
 
     def safe_handle(self, ftype: int, payload: bytes) -> tuple[int, bytes]:
         """handle() with every failure mapped to an ERROR frame."""
@@ -270,9 +269,9 @@ class CloudServer:
         # Cached from the id's first QUERY until its next ENROLL; an entry for
         # a vector the store no longer holds (tampered, reloaded) is refilled.
         entry = self._own.get(fid)
-        if entry is None or entry[0] is not stored:
-            entry = self._own[fid] = (stored, own_sums(stored, self.cfg.scheme, self.cfg.mode))
-        pc = compute_partials(stored, qvec, self.cfg.scheme, self.cfg.mode, entry[1])
+        q = entry[1] if entry is not None and entry[0] is stored else None
+        pc = compute_partials(stored, qvec, self.cfg.scheme, self.cfg.mode, q)
+        self._own[fid] = (stored, pc.q_share)
         return wire.MSG_PARTIAL, serialize_partial(pc)
 
     def _fetch(self, payload: bytes) -> tuple[int, bytes]:

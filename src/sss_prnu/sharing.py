@@ -1,11 +1,14 @@
 """(l, n) threshold secret sharing over whole vectors.
 
-A secret b0 is hidden as the constant term of a random polynomial
-G(u) = b0 + b1*u + ... + b_{l-1}*u^(l-1) over Z_p; share i is the
-evaluation at a public nonzero point u_i.  Any l shares recover b0 by
-Lagrange interpolation at zero.  `share_vector` shares every element of
-a fingerprint or residual at once, one `ShareVector` per server, and
-`reconstruct_vector` recovers them elementwise.
+A secret b0 is hidden as the constant term of a random polynomial G of
+degree l-1 over Z_p; server u holds G(u), at the fixed points u = 1..n.
+Any l shares recover b0 by Lagrange interpolation at zero.
+`share_vector` shares every element of a fingerprint or residual at
+once, one `ShareVector` per server, by modular additions alone: G is
+drawn as its l-1 forward differences at 0, uniform exactly when its
+coefficients are (the map between them is triangular with diagonal j!,
+nonzero mod p), and each step of the difference table from u to u+1
+costs l-1 additions.  `reconstruct_vector` recovers secrets elementwise.
 
 The library itself performs no arithmetic on shares.  The one product
 happens inside `correlation.compute_partials`: multiplying two share
@@ -25,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .field import ELEMENT_BYTES, ELEMENT_DTYPE, WIRE_DTYPE, PrimeField
+from .field import CHUNK, ELEMENT_BYTES, ELEMENT_DTYPE, WIRE_DTYPE, PrimeField
 
 
 class SharingError(Exception):
@@ -75,7 +78,6 @@ class ShareScheme:
     l: int
     n: int
     field: PrimeField = dc_field(default_factory=PrimeField)
-    evaluation_points: Optional[tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
         if self.l < 2:
@@ -86,17 +88,13 @@ class ShareScheme:
             raise ValueError(
                 f"n={self.n} cannot support one multiplication; need n >= {2 * self.l - 1}"
             )
-        if self.evaluation_points is None:
-            object.__setattr__(
-                self, "evaluation_points", tuple(range(1, self.n + 1))
-            )
-        pts = self.evaluation_points
-        if len(pts) != self.n:
-            raise ValueError(f"expected {self.n} evaluation points, got {len(pts)}")
-        if any(not 0 < u < self.field.p for u in pts):
-            raise ValueError("evaluation points must be nonzero residues")
-        if len(set(pts)) != self.n:
-            raise ValueError("evaluation points must be pairwise distinct")
+        if self.n >= self.field.p:
+            raise ValueError(f"points 1..{self.n} are not all nonzero mod {self.field.p}")
+
+    @property
+    def evaluation_points(self) -> tuple[int, ...]:
+        """Server u holds the shares at point u, for u = 1..n."""
+        return tuple(range(1, self.n + 1))
 
     @property
     def fresh_degree(self) -> int:
@@ -140,18 +138,6 @@ class ShareVector:
         )
 
 
-def _evaluate(secrets: np.ndarray, coeffs: np.ndarray, scheme: ShareScheme) -> np.ndarray:
-    """Row i holds the shares at evaluation point i of each secret, under
-    the polynomials whose coefficient of u^(j+1) is coeffs[j]; one Horner
-    pass covers every point at once."""
-    f = scheme.field
-    points = scheme.evaluation_points
-    acc = coeffs[-1]
-    for row in coeffs[-2::-1]:
-        acc = f.mul_scalar(acc, points, plus=row)
-    return f.mul_scalar(acc, points, plus=secrets)
-
-
 def share_vector(
     secrets: Sequence[int],
     scheme: ShareScheme,
@@ -160,16 +146,40 @@ def share_vector(
     """Share every element of a vector, one fresh polynomial per element.
 
     `secrets` are residues below 2**64 (a `uint64` vector or ints); they
-    are reduced mod p.
+    are reduced mod p.  One `random_vector` call draws every polynomial's
+    l-1 forward differences at 0.
     """
     f = scheme.field
-    secrets = np.asarray(secrets, dtype=ELEMENT_DTYPE) % np.uint64(f.p)
+    secrets = np.asarray(secrets, dtype=ELEMENT_DTYPE)
+    count = len(secrets)
     rng = rng if rng is not None else _SYSTEM_RNG
-    coeffs = f.random_vector(rng, (scheme.l - 1) * len(secrets))
-    values = _evaluate(secrets, coeffs.reshape(scheme.l - 1, len(secrets)), scheme)
-    return [
-        ShareVector(u, v, scheme.fresh_degree) for u, v in zip(scheme.evaluation_points, values)
-    ]
+    # Row j holds the differences of order j+1; they are stepped in place.
+    diffs = f.random_vector(rng, (scheme.l - 1) * count).reshape(scheme.l - 1, count)
+    rows = np.empty((scheme.n, count), dtype=ELEMENT_DTYPE)
+    pv = np.array(f.p, dtype=ELEMENT_DTYPE)
+    # The pass uses two rows of scratch, but the block holds 4 * CHUNK
+    # elements (1 MiB), as `mul_scalar`'s does at full width: freeing a
+    # block this large raises glibc's dynamic mmap threshold to 1 MiB and
+    # its trim threshold to 2 MiB, so the arrays a query allocates and
+    # frees stay on a heap that is not trimmed and faulted back in on
+    # every call.
+    scratch = np.empty((4, CHUNK), dtype=ELEMENT_DTYPE)
+    for start in range(0, count, CHUNK):
+        part = slice(start, start + CHUNK)
+        d = diffs[:, part]
+        g, t = scratch[0, : d.shape[1]], scratch[1, : d.shape[1]]
+        np.remainder(secrets[part], pv, out=g)
+        for row in rows[:, part]:
+            # G(u) = G(u-1) + dG(u-1), then each difference takes one step.
+            steps = [(g, d[0], row)] + [(d[j], d[j + 1], d[j]) for j in range(len(d) - 1)]
+            for x, y, out in steps:
+                # Residues sum below 2**64, and min(r, r - p) reduces r, as
+                # r - p wraps above r exactly when r < p.
+                np.add(x, y, out=out)
+                np.subtract(out, pv, out=t)
+                np.minimum(out, t, out=out)
+            g = row
+    return [ShareVector(u, v, scheme.fresh_degree) for u, v in zip(scheme.evaluation_points, rows)]
 
 
 def lagrange_weights(

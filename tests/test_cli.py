@@ -338,3 +338,5 @@ def test_serve_subprocess(tmp_path):
     finally:
         proc.terminate()
         proc.wait(timeout=10)
+        proc.stdout.close()
+        proc.stderr.close()

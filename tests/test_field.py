@@ -86,9 +86,6 @@ def test_mul_scalar_matches_python_ints(p):
     x = np.array(xs, dtype=np.uint64)
     for w in _operands(p, 20, rng):
         assert f.mul_scalar(x, w).tolist() == [v * w % p for v in xs]
-    ws = _operands(p, 1, rng)
-    rows = np.stack([x] * len(ws))
-    assert f.mul_scalar(rows, ws).tolist() == [[v * w % p for v in xs] for w in ws]
 
 
 @pytest.mark.parametrize("p", KERNEL_PRIMES)
@@ -99,9 +96,6 @@ def test_elementwise_kernels_match_python_ints(p):
     b = list(reversed(_operands(p, 500, rng)))
     va, vb = np.array(a, dtype=np.uint64), np.array(b, dtype=np.uint64)
     assert f.mul_scalar(va, 3, plus=vb).tolist() == [(3 * x + y) % p for x, y in zip(a, b)]
-    assert f.mul_scalar(va, [1, 2], plus=vb).tolist() == [
-        [(w * x + y) % p for x, y in zip(a, b)] for w in (1, 2)
-    ]
     assert f.sum_vec(va) == sum(a) % p
 
 
@@ -118,10 +112,11 @@ def test_gram_matches_python_ints_across_blocks(p, block, monkeypatch):
             [[p - 1] * n, [p - 1] * n],
             [[rng.randrange(p) for _ in range(n)] for _ in range(3)],
         ):
-            expected = [sum(x * y for x, y in zip(rows[0], r)) % p for r in rows]
-            x, *others = [np.array(r, dtype=np.uint64) for r in rows]
-            assert f.sum_products(x, others) == expected
-            assert f.sum_products(x) == expected[:1]
+            vectors = [np.array(r, dtype=np.uint64) for r in rows]
+            pairs = [(i, j) for i in range(len(rows)) for j in range(len(rows))]
+            expected = [sum(x * y for x, y in zip(rows[i], rows[j])) % p for i, j in pairs]
+            assert f.sum_products(vectors, pairs) == expected
+            assert f.sum_products(vectors[:1], [(0, 0)]) == expected[:1]
 
 
 def test_gram_block_bound_and_guards():
@@ -129,9 +124,9 @@ def test_gram_block_bound_and_guards():
     assert (2**21 - 1) ** 2 * field.GRAM_BLOCK < 2**64
     f = PrimeField(17)
     one, two, p = (np.array(v, dtype=np.uint64) for v in ([1], [1, 2], [17]))
-    for x, others in ((p, []), (one, [p]), (two, [one]), (one, [one, two])):
+    for vectors in ([p], [one, p], [two, one], [one, one, two]):
         with pytest.raises(ValueError):
-            f.sum_products(x, others)
+            f.sum_products(vectors, [(0, 0)])
 
 
 @pytest.mark.parametrize(

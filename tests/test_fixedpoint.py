@@ -152,3 +152,50 @@ def test_encode_vector_range_edge():
         encode_vector(np.array([float(2**60) / 10]), s, FIELD)
     with pytest.raises(OutOfRange):
         encode_vector(np.array([-float(2**60) / 10]), s, FIELD)
+
+
+def encode_previous(xs, s, field):
+    """The encoding by where(floor, ceil) rounding, an argmax range check
+    and an np.mod lift: the reference that `encode_vector`'s
+    trunc/copysign form must match bit for bit."""
+    scaled = np.asarray(xs, dtype=np.float64) * s.scale
+    m = np.where(scaled >= 0, np.floor(scaled + 0.5), np.ceil(scaled - 0.5))
+    peak = abs(float(m[int(np.argmax(np.abs(m)))]))
+    if not math.isfinite(peak) or int(peak) > field.half:
+        raise OutOfRange("out of range")
+    return np.mod(m.astype(np.int64), field.p).astype(np.uint64)
+
+
+def test_encode_vector_matches_previous_formula():
+    f257 = PrimeField(257)
+    below_half = np.nextafter(0.5, 0.0)
+    # x * 10 is exact for these, so each lands on a tie k + 0.5.
+    ties = [k + 0.25 for k in range(-6, 6)] + [k * (2.0**40 + 0.75) for k in (-1, 1)]
+    edge = float(2**60)  # one past the default field's half, 2**60 - 1
+    cases = [
+        (Scaling(1), FIELD, ties),
+        (Scaling(4), FIELD, [0.0, -0.0, below_half / 1e4, -below_half / 1e4, below_half, -below_half]),
+        (Scaling(1), f257, [12.8, -12.8, 12.84, -12.84, 12.849999999999998, -12.849999999999998]),
+        (Scaling(1), FIELD, [float(2**60 - 2**7) / 10, -float(2**60 - 2**7) / 10]),
+        (Scaling(3), FIELD, list(np.random.default_rng(4).normal(0, 1e6, 5000))),
+    ]
+    for s, field, xs in cases:
+        got = encode_vector(np.array(xs), s, field)
+        assert got.dtype == np.uint64
+        assert got.tolist() == encode_previous(xs, s, field).tolist()
+    past = [
+        (Scaling(1), f257, 12.85),
+        (Scaling(1), f257, 12.9),
+        (Scaling(1), FIELD, edge / 10),
+        (Scaling(1), FIELD, np.nextafter(edge, math.inf) / 10),
+    ]
+    for s, field, x in past:
+        for bad in (x, -x):
+            for encode_fn in (encode_vector, encode_previous):
+                with pytest.raises(OutOfRange):
+                    encode_fn(np.array([0.0, bad, 1.0]), s, field)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(OutOfRange):
+            encode_vector(np.array([1.0, bad, -1.0]), Scaling(4), FIELD)
+        with pytest.raises(OutOfRange):
+            encode_vector(np.array([bad] * 3), Scaling(4), FIELD)

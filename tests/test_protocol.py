@@ -572,12 +572,33 @@ def test_enroll_computes_no_dot_products(monkeypatch):
     enroll(base, "cam", CFG, cluster.links, random.Random(1))
     assert dots == []
     # Every server answers inline.  The first query fills each server's
-    # cache (6 dots for the stored square, 15 for the query's sums); later
+    # cache (6 dots for the stored square beside the query's 15); later
     # ones reuse it.
     query_residual(near, "cam", CFG, cluster.links, random.Random(2))
     assert len(dots) == SCHEME.n * 21
     query_residual(near, "cam", CFG, cluster.links, random.Random(3))
     assert len(dots) == SCHEME.n * (21 + 15)
+
+
+def test_each_share_is_split_into_limbs_once_per_query(monkeypatch):
+    # A cache miss sums the stored square from the same limb split of the
+    # stored share as the cross sum, so a miss splits as often as a hit.
+    from sss_prnu import field
+
+    splits = []
+    real_limbs = field._limbs
+    monkeypatch.setattr(field, "_limbs", lambda x: splits.append(len(x)) or real_limbs(x))
+    cluster = make_cluster()
+    base, near, _ = sample_pair(30)
+    enroll(base, "cam", CFG, cluster.links, random.Random(1))
+    query_residual(near, "cam", CFG, cluster.links, random.Random(2))
+    assert len(splits) == 2 * SCHEME.n
+    query_residual(near, "cam", CFG, cluster.links, random.Random(3))
+    assert len(splits) == 4 * SCHEME.n
+    # The audit's replay has no cache at all, and splits each share once.
+    stored, sent = cluster.servers[1].store.get("cam"), prepare_vector(near, CFG.scaling, SCHEME)
+    compute_partials(stored, sent[0], SCHEME, CFG.mode)
+    assert len(splits) == 4 * SCHEME.n + 2
 
 
 def test_cluster_persistence_across_restart(tmp_path):

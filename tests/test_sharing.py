@@ -18,6 +18,7 @@ from sss_prnu import (
     serialize_share_vector,
     share_vector,
 )
+from sss_prnu.field import CHUNK
 from sss_prnu.sharing import check_product_operands
 
 F17 = PrimeField(17)
@@ -48,19 +49,67 @@ def test_reconstruct_from_every_l_subset():
     assert reconstruct_vector(vectors, SMALL) == secrets
 
 
+class StreamRng:
+    """Byte stream of the given 8-byte little-endian draws, then zeros."""
+
+    def __init__(self, draws):
+        self.buf = b"".join(int(v).to_bytes(8, "little") for v in draws)
+
+    def randbytes(self, n):
+        out, self.buf = self.buf[:n], self.buf[n:]
+        return out.ljust(n, b"\x00")
+
+
+def test_l2_shares_are_secret_plus_u_times_the_draw():
+    # Past a chunk boundary, with secrets up to 2**64 - 1 to be reduced.
+    scheme = ShareScheme(l=2, n=4)
+    p = scheme.field.p
+    rng = random.Random(4)
+    secrets = [rng.randrange(2**64) for _ in range(CHUNK + 5)] + [0, p - 1, p, 2**64 - 1]
+    draws = scheme.field.random_vector(random.Random(9), len(secrets)).tolist()
+    vectors = share_vector(np.array(secrets, dtype=np.uint64), scheme, random.Random(9))
+    for u, vec in zip((1, 2, 3, 4), vectors):
+        assert vec.point == u and vec.degree_hint == 1
+        assert vec.values.tolist() == [(s + u * c) % p for s, c in zip(secrets, draws)]
+
+
+def test_l3_shares_at_two_points_cover_every_pair_once():
+    # A fixed secret and all 289 pairs of forward differences over F_17:
+    # the shares at any 2 of the 5 points take each of the 289 value
+    # pairs exactly once, so l - 1 shares say nothing about the secret.
+    scheme = ShareScheme(l=3, n=5, field=F17)
+    firsts, seconds = zip(*[(d1, d2) for d1 in range(17) for d2 in range(17)])
+    vectors = share_vector([11] * 289, scheme, StreamRng(firsts + seconds))
+    for a, b in combinations(vectors, 2):
+        assert len(set(zip(a.values.tolist(), b.values.tolist()))) == 289
+    assert reconstruct_vector(vectors[:3], scheme) == [11] * 289
+
+
+@pytest.mark.parametrize("l", [3, 4])
+def test_any_l_shares_reconstruct(l):
+    scheme = ShareScheme(l=l, n=2 * l - 1)
+    rng = random.Random(l)
+    secrets = [rng.randrange(scheme.field.p) for _ in range(CHUNK + 3)]
+    vectors = share_vector(secrets, scheme, rng)
+    for subset in combinations(vectors, l):
+        assert reconstruct_vector(list(subset), scheme) == secrets
+    with pytest.raises(InsufficientShares):
+        reconstruct_vector(vectors[: l - 1], scheme)
+
+
 def test_scheme_validation():
     with pytest.raises(ValueError):
         ShareScheme(l=1, n=4, field=F17)
     with pytest.raises(ValueError):
         ShareScheme(l=2, n=2, field=F17)  # below the 2l-1 quorum
     with pytest.raises(ValueError):
-        ShareScheme(l=2, n=4, field=F17, evaluation_points=(1, 2, 3, 3))
-    with pytest.raises(ValueError):
-        ShareScheme(l=2, n=4, field=F17, evaluation_points=(0, 1, 2, 3))
-    with pytest.raises(ValueError):
-        ShareScheme(l=2, n=4, field=F17, evaluation_points=(1, 2, 3))
-    custom = ShareScheme(l=2, n=3, field=F17, evaluation_points=(5, 9, 13))
-    assert custom.quorum == 3
+        ShareScheme(l=2, n=17, field=F17)  # point 17 is zero mod 17
+    # The points are always 1..n; the constructor takes none.
+    with pytest.raises(TypeError):
+        ShareScheme(l=2, n=4, field=F17, evaluation_points=(5, 9, 13, 15))
+    assert SMALL.evaluation_points == (1, 2, 3, 4)
+    assert ShareScheme(l=2, n=16, field=F17).evaluation_points == tuple(range(1, 17))
+    assert ShareScheme(l=2, n=3, field=F17).quorum == 3
     assert ShareScheme(l=3, n=5, field=F17).quorum == 5
 
 
