@@ -12,6 +12,7 @@ import argparse
 import os
 import random
 import sys
+from contextlib import contextmanager
 from typing import Optional, Sequence
 
 from .field import DEFAULT_PRIME, FieldError, PrimeField
@@ -84,7 +85,10 @@ def _echo_config(args, cfg: ProtocolConfig, seed: Optional[int]) -> None:
     _emit("seed", seed if seed is not None else "none")
 
 
-def _build_links(args, cfg: ProtocolConfig):
+@contextmanager
+def _links(args, cfg: ProtocolConfig):
+    """The links to `--servers` or to a `--store-root` cluster, closed on
+    exit so that no TcpLink worker outlives the command."""
     if args.servers:
         parts = [s.strip() for s in args.servers.split(",") if s.strip()]
         if len(parts) != cfg.scheme.n:
@@ -97,10 +101,15 @@ def _build_links(args, cfg: ProtocolConfig):
             if not host or not port.isdigit():
                 raise ValueError(f"bad server endpoint {endpoint!r}")
             links.append(TcpLink(point, (host, int(port)), cfg.timeout_ms))
-        return links
-    if args.store_root:
-        return LocalCluster(cfg, store_root=args.store_root).links
-    raise ValueError("need either --servers or --store-root")
+    elif args.store_root:
+        links = LocalCluster(cfg, store_root=args.store_root).links
+    else:
+        raise ValueError("need either --servers or --store-root")
+    try:
+        yield links
+    finally:
+        for link in links:
+            link.close()
 
 
 def _require_threshold(args) -> None:
@@ -174,8 +183,8 @@ def cmd_enroll(args) -> int:
     seed = _resolve_seed(args)
     _echo_config(args, cfg, seed)
     fp = read_nmat(args.fingerprint)
-    links = _build_links(args, cfg)
-    acked = enroll(fp, args.id, cfg, links, _make_rng(seed))
+    with _links(args, cfg) as links:
+        acked = enroll(fp, args.id, cfg, links, _make_rng(seed))
     _emit("id", args.id)
     _emit("acked", ",".join(str(p) for p in acked))
     return 0
@@ -187,8 +196,8 @@ def cmd_query(args) -> int:
     seed = _resolve_seed(args)
     _echo_config(args, cfg, seed)
     image = read_pgm(args.image)
-    links = _build_links(args, cfg)
-    result = query(image, args.id, cfg, links, _make_rng(seed))
+    with _links(args, cfg) as links:
+        result = query(image, args.id, cfg, links, _make_rng(seed))
     _emit("id", args.id)
     _emit("servers_used", ",".join(str(p) for p in result.server_subset))
     _emit("p_val", repr(result.p_val))
@@ -205,8 +214,8 @@ def cmd_verify(args) -> int:
     seed = _resolve_seed(args)
     _echo_config(args, cfg, seed)
     image = read_pgm(args.image)
-    links = _build_links(args, cfg)
-    report = verify_consistency(image, args.id, cfg, links, _make_rng(seed))
+    with _links(args, cfg) as links:
+        report = verify_consistency(image, args.id, cfg, links, _make_rng(seed))
     _emit("id", args.id)
     _emit("responding", ",".join(str(p) for p in report.responding))
     _emit("consistent", str(report.consistent).lower())
@@ -334,10 +343,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NegativeSquareSum as exc:
-        print(f"error={exc}", file=sys.stderr)
-        return 3
-    except ProtocolError as exc:
+    except (NegativeSquareSum, ProtocolError) as exc:
         print(f"error={exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError, FieldError, SharingError) as exc:

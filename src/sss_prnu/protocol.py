@@ -19,8 +19,8 @@ server in-process, TcpLink speaks the wire format over a socket.  Both
 move identical frame bytes, so traffic observers see the same thing
 either way.
 
-Each link also owns its concurrency.  The drivers hand a request to
-`link.submit(fn, deadline)` and wait on the returned Future.  LocalLink
+Each link also owns its concurrency.  The drivers send every request
+through `_gather`, which hands it to `link.submit(fn, deadline)`.  LocalLink
 runs it at once on the calling thread: an in-process server shares the
 caller's interpreter lock, so a thread would add start-up cost and no
 overlap.  TcpLink queues it on its one long-lived worker thread, so the
@@ -43,7 +43,7 @@ from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field as dc_field
 from functools import partial
 from itertools import combinations
-from typing import Callable, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -82,17 +82,31 @@ class TransportError(ProtocolError):
     """A server could not be reached or gave an unusable answer."""
 
 
+def _causes(failed: Sequence[tuple]) -> str:
+    """Each failed server's cause, from (link, exception) records."""
+    return "; ".join(str(exc) for _, exc in failed)
+
+
 class EnrollTimeout(ProtocolError):
-    def __init__(self, points: Sequence[int]):
-        self.points = tuple(points)
-        super().__init__(f"enrollment failed at servers {self.points}; rolled back")
+    """Enrollment failed at some server; `failed` holds (link, cause) records."""
+
+    def __init__(self, failed: Sequence[tuple]):
+        self.points = tuple(link.point for link, _ in failed)
+        super().__init__(
+            f"enrollment failed at servers {self.points}; rolled back ({_causes(failed)})"
+        )
 
 
 class QuorumNotReached(ProtocolError):
-    def __init__(self, responded: int, required: int):
+    """Too few partials; `failed` holds the (link, cause) records of the rest."""
+
+    def __init__(self, responded: int, required: int, failed: Sequence[tuple]):
         self.responded = responded
         self.required = required
-        super().__init__(f"only {responded} of the required {required} servers responded")
+        super().__init__(
+            f"only {responded} of the required {required} servers responded"
+            f" ({_causes(failed)})"
+        )
 
 
 class UnknownFingerprint(ProtocolError):
@@ -457,77 +471,16 @@ class LocalCluster:
 # Trusted-side drivers.
 
 
-def _check_links(links: Sequence, cfg: ProtocolConfig) -> None:
+def _check_request(links: Sequence, cfg: ProtocolConfig, fid: str, count: int) -> None:
+    """Refuse, before any request is sent, links that do not cover the
+    scheme's points in order, or an ENROLL or QUERY frame whose
+    `count`-element share vector would exceed `wire.MAX_FRAME`."""
     points = tuple(link.point for link in links)
     if points != tuple(cfg.scheme.evaluation_points):
         raise ValueError(
             f"links cover points {points}, scheme expects {cfg.scheme.evaluation_points}"
         )
-
-
-def _check_share_frame(fid: str, count: int) -> None:
-    """Refuse, before any request is sent, an ENROLL or QUERY frame whose
-    `count`-element share vector would exceed `wire.MAX_FRAME`."""
     wire.check_frame_length(1 + len(wire.pack_identified(fid)) + serialized_size(count))
-
-
-def enroll(
-    fingerprint: np.ndarray,
-    fid: str,
-    cfg: ProtocolConfig,
-    links: Sequence,
-    rng: Optional[random.Random] = None,
-) -> tuple[int, ...]:
-    """Share a fingerprint to every server; all-or-nothing.
-
-    The n ENROLL requests run concurrently, each as its link runs
-    requests (see the module docstring), and every one is waited for.
-    Every server must acknowledge.  On any failure the servers that did
-    store the share receive a delete marker, so a partial enrollment
-    never lingers.
-    """
-    _check_links(links, cfg)
-    _check_share_frame(fid, np.size(fingerprint))
-    vectors = prepare_vector(fingerprint, cfg.scaling, cfg.scheme, cfg.mode, rng)
-    acked: list = []
-    failed: list[int] = []
-    for link, fut in zip(links, _submit_enroll(links, vectors, fid, cfg)):
-        try:
-            rtype, _ = fut.result()
-        except TransportError:
-            failed.append(link.point)
-            continue
-        if rtype == wire.MSG_ENROLL_ACK:
-            acked.append(link)
-        else:
-            failed.append(link.point)
-    if failed:
-        tombstones = [ShareVector(link.point, [], cfg.scheme.fresh_degree) for link in acked]
-        for fut in _submit_enroll(acked, tombstones, fid, cfg):
-            try:
-                fut.result()
-            except TransportError:
-                pass  # best effort; the id was never fully enrolled
-        raise EnrollTimeout(failed)
-    return tuple(link.point for link in acked)
-
-
-def _submit_enroll(
-    links: Sequence, vectors: Sequence[ShareVector], fid: str, cfg: ProtocolConfig
-) -> list[Future]:
-    """Submit one ENROLL per link; the Futures hold (type, payload)."""
-    deadline = time.monotonic() + cfg.timeout_ms / 1000.0
-    return [
-        link.submit(
-            partial(
-                link.request,
-                wire.MSG_ENROLL,
-                wire.pack_identified(fid, serialize_share_vector(vec)),
-            ),
-            deadline,
-        )
-        for link, vec in zip(links, vectors)
-    ]
 
 
 class _ServerRefusal(Exception):
@@ -539,99 +492,160 @@ class _ServerRefusal(Exception):
         super().__init__(f"server {point}: {message} (code {code})")
 
 
-def _refusal(link, rpayload: bytes) -> _ServerRefusal:
-    """The refusal an ERROR payload carries; one that does not parse is
-    that server's TransportError."""
+def _expect(link, want: int, reply: tuple[int, bytes]) -> bytes:
+    """The payload of `link`'s `reply` if it is a `want` frame.
+
+    An ERROR raises that server's _ServerRefusal; an ERROR that does not
+    parse, or a frame of any other type, raises its TransportError.
+    """
+    rtype, rpayload = reply
+    if rtype == want:
+        return rpayload
+    if rtype != wire.MSG_ERROR:
+        raise TransportError(f"server {link.point} sent frame type {rtype:#04x}")
     try:
         code, message = wire.unpack_error(rpayload)
     except wire.FrameError as exc:
         raise TransportError(f"server {link.point}: {exc}") from exc
-    return _ServerRefusal(link.point, code, message)
+    raise _ServerRefusal(link.point, code, message)
+
+
+def _gather(
+    links: Sequence, requests: Iterable[Callable], cfg: ProtocolConfig, stop_at=None
+) -> list[tuple]:
+    """Run the i-th of `requests` on `links[i]` under one deadline.
+
+    Each request is drawn just before its link gets it, and each link
+    runs it as its transport decides (`submit`).  The deadline is
+    `cfg.timeout_ms` from now: a request that its link reaches only
+    after it fails as that server's TransportError and is never sent,
+    and waiting ends there.  Waiting also ends once every server replied
+    or `stop_at` requests succeeded; the requests left stay with their
+    links, which send each one they reach by the deadline.  Returns one
+    (link, result or exception) record per server, in arrival order,
+    those that arrive together in link order.  Each server not heard
+    from when waiting ends gets a TransportError record.
+    """
+    deadline = time.monotonic() + cfg.timeout_ms / 1000.0
+    futures = [link.submit(fn, deadline) for link, fn in zip(links, requests)]
+    records: list[tuple] = []
+    succeeded = 0
+    pending = set(futures)
+    while pending and (stop_at is None or succeeded < stop_at):
+        remaining = max(0.0, deadline - time.monotonic())
+        done, pending = wait(pending, timeout=remaining, return_when=FIRST_COMPLETED)
+        if not done:
+            break
+        for link, fut in zip(links, futures):
+            if fut not in done:
+                continue
+            try:
+                records.append((link, fut.result()))
+                succeeded += 1
+            except (ProtocolError, _ServerRefusal) as exc:
+                records.append((link, exc))
+    records.extend(
+        (link, TransportError(f"server {link.point}: no reply by the deadline"))
+        for link, fut in zip(links, futures)
+        if fut in pending
+    )
+    return records
+
+
+def _send_enroll(link, payload: bytes) -> None:
+    _expect(link, wire.MSG_ENROLL_ACK, link.request(wire.MSG_ENROLL, payload))
+
+
+def _enroll_requests(links: Sequence, fid: str, vectors: Sequence[ShareVector]):
+    """One ENROLL request per link.  Each share is serialized on the calling
+    thread as `_gather` draws its request: on the TcpLink workers the n
+    serializations would contend for the interpreter lock."""
+    for link, vec in zip(links, vectors):
+        yield partial(_send_enroll, link, wire.pack_identified(fid, serialize_share_vector(vec)))
+
+
+def enroll(
+    fingerprint: np.ndarray,
+    fid: str,
+    cfg: ProtocolConfig,
+    links: Sequence,
+    rng: Optional[random.Random] = None,
+) -> tuple[int, ...]:
+    """Share a fingerprint to every server; all-or-nothing.
+
+    The n ENROLLs go out as one `_gather`, and every server must
+    acknowledge by its deadline.  Otherwise every server gets a delete
+    marker under a second deadline, since one that did not acknowledge
+    may still store the share (a lost or late ACK) or keep an older one
+    (a refused re-enroll); then EnrollTimeout names each failed server
+    and its cause.  A failed enrollment thus costs at most two deadlines.
+    On its link the marker queues behind the server's ENROLL.  One race
+    remains: a TcpLink whose ENROLL timed out sends the marker on a
+    fresh connection, and a server still working on that ENROLL can
+    store the share after the marker deleted it.
+    """
+    _check_request(links, cfg, fid, np.size(fingerprint))
+    vectors = prepare_vector(fingerprint, cfg.scaling, cfg.scheme, cfg.mode, rng)
+    records = _gather(links, _enroll_requests(links, fid, vectors), cfg)
+    failed = [(link, result) for link, result in records if isinstance(result, Exception)]
+    if failed:
+        markers = [ShareVector(link.point, [], cfg.scheme.fresh_degree) for link in links]
+        # Best effort; the id was never fully enrolled.
+        _gather(links, _enroll_requests(links, fid, markers), cfg)
+        raise EnrollTimeout(failed)
+    return tuple(link.point for link in links)
 
 
 def _send_query(link, fid: str, vec: ShareVector, cfg: ProtocolConfig) -> PartialCorrelation:
     payload = wire.pack_identified(fid, serialize_share_vector(vec))
-    rtype, rpayload = link.request(wire.MSG_QUERY, payload)
-    if rtype == wire.MSG_ERROR:
-        raise _refusal(link, rpayload)
-    if rtype != wire.MSG_PARTIAL:
-        raise TransportError(f"server {link.point} sent frame type {rtype:#04x}")
+    rpayload = _expect(link, wire.MSG_PARTIAL, link.request(wire.MSG_QUERY, payload))
     try:
         pc = deserialize_partial(rpayload, cfg.scheme)
     except ValueError as exc:
         raise TransportError(f"server {link.point}: {exc}") from exc
     if pc.point != vec.point:
-        raise TransportError(
-            f"server {link.point} answered for point {pc.point}"
-        )
+        raise TransportError(f"server {link.point} answered for point {pc.point}")
     return pc
 
 
-def _fan_out(
-    links: Sequence,
-    vectors: Sequence[ShareVector],
-    fid: str,
-    cfg: ProtocolConfig,
-    stop_at: Optional[int],
-) -> tuple[list[PartialCorrelation], list[int], list[_ServerRefusal]]:
-    """Send every server its query share; collect partials as they arrive.
-
-    Each link runs its request as its transport decides (`submit`).  The
-    deadline is `cfg.timeout_ms` from now: a request that its link
-    reaches only after it fails as that server's TransportError and is
-    never sent, and waiting ends there.  Waiting also ends once `stop_at`
-    partials arrived (None waits for every reply); the requests left stay
-    with their links, which send each one they reach by the deadline.
-    Partials that arrive together keep link order.  Returns (partials, unknown-id
-    points, malformed-input refusals).
-    """
-    deadline = time.monotonic() + cfg.timeout_ms / 1000.0
-    futures = [
-        link.submit(partial(_send_query, link, fid, vec, cfg), deadline)
-        for link, vec in zip(links, vectors)
-    ]
-    collected: list[PartialCorrelation] = []
-    unknown: list[int] = []
-    malformed: list[_ServerRefusal] = []
-    pending = set(futures)
-    while pending and (stop_at is None or len(collected) < stop_at):
-        remaining = max(0.0, deadline - time.monotonic())
-        done, pending = wait(pending, timeout=remaining, return_when=FIRST_COMPLETED)
-        if not done:
-            break
-        for fut in futures:
-            if fut not in done:
-                continue
-            try:
-                collected.append(fut.result())
-            except _ServerRefusal as exc:
-                if exc.code == wire.ERR_UNKNOWN_ID:
-                    unknown.append(exc.point)
-                elif exc.code == wire.ERR_MALFORMED:
-                    malformed.append(exc)
-            except TransportError:
-                pass
-    return collected, unknown, malformed
-
-
 def _no_quorum(
-    responded: int,
-    unknown: list[int],
-    malformed: list[_ServerRefusal],
-    cfg: ProtocolConfig,
+    responded: int, records: list[tuple], cfg: ProtocolConfig
 ) -> ProtocolError | DimensionMismatch:
-    """The error for a fan-out that fell short of the quorum.
+    """The error for a gather of partials that fell short of the quorum.
 
     Servers refuse a well-formed client's query as malformed only when
     it does not fit the enrolled share, such as an image of another size.
     """
+    failed = [(link, result) for link, result in records if isinstance(result, Exception)]
+    refusals = [exc for _, exc in failed if isinstance(exc, _ServerRefusal)]
+    unknown = [exc.point for exc in refusals if exc.code == wire.ERR_UNKNOWN_ID]
     if unknown:
         return UnknownFingerprint(unknown)
+    malformed = [exc for exc in refusals if exc.code == wire.ERR_MALFORMED]
     if malformed:
         return DimensionMismatch(
             "servers refused the query: " + "; ".join(str(exc) for exc in malformed)
         )
-    return QuorumNotReached(responded, cfg.quorum)
+    return QuorumNotReached(responded, cfg.quorum, failed)
+
+
+def _query_servers(
+    residual: np.ndarray, fid: str, cfg: ProtocolConfig, links: Sequence, rng, stop_at
+) -> tuple[int, list[ShareVector], list[PartialCorrelation]]:
+    """Share a residual out as QUERYs and gather the partials.
+
+    Returns the element count, the query shares sent and the partials in
+    arrival order; fewer than a quorum raise `_no_quorum`'s error.
+    """
+    flat = np.asarray(residual, dtype=np.float64).ravel()
+    _check_request(links, cfg, fid, flat.size)
+    vectors = prepare_vector(flat, cfg.scaling, cfg.scheme, cfg.mode, rng)
+    requests = [partial(_send_query, link, fid, vec, cfg) for link, vec in zip(links, vectors)]
+    records = _gather(links, requests, cfg, stop_at)
+    parts = [result for _, result in records if isinstance(result, PartialCorrelation)]
+    if len(parts) < cfg.quorum:
+        raise _no_quorum(len(parts), records, cfg)
+    return flat.size, vectors, parts
 
 
 def query_residual(
@@ -642,17 +656,9 @@ def query_residual(
     rng: Optional[random.Random] = None,
 ) -> MatchResult:
     """Correlate an already-extracted residual against an enrolled id."""
-    _check_links(links, cfg)
-    flat = np.asarray(residual, dtype=np.float64).ravel()
-    _check_share_frame(fid, flat.size)
-    vectors = prepare_vector(flat, cfg.scaling, cfg.scheme, cfg.mode, rng)
-    parts, unknown, malformed = _fan_out(links, vectors, fid, cfg, stop_at=cfg.quorum)
-    if len(parts) < cfg.quorum:
-        raise _no_quorum(len(parts), unknown, malformed, cfg)
+    count, _, parts = _query_servers(residual, fid, cfg, links, rng, stop_at=cfg.quorum)
     first = parts[: cfg.quorum]
-    p_val, q_val, r_val = reconstruct_partials(
-        first, cfg.scheme, cfg.scaling, cfg.mode, int(flat.size)
-    )
+    p_val, q_val, r_val = reconstruct_partials(first, cfg.scheme, cfg.scaling, cfg.mode, count)
     return finalize(
         p_val, q_val, r_val, cfg.threshold, server_subset=[pc.point for pc in first]
     )
@@ -672,14 +678,14 @@ def query(
 
 def fetch_share(fid: str, link) -> ShareVector:
     """Pull one server's stored share for auditing."""
-    rtype, rpayload = link.request(wire.MSG_FETCH, wire.pack_identified(fid))
-    if rtype == wire.MSG_ERROR:
-        refusal = _refusal(link, rpayload)
-        if refusal.code == wire.ERR_UNKNOWN_ID:
-            raise UnknownFingerprint([link.point])
-        raise TransportError(str(refusal))
-    if rtype != wire.MSG_SHARE:
-        raise TransportError(f"server {link.point} sent frame type {rtype:#04x}")
+    try:
+        rpayload = _expect(
+            link, wire.MSG_SHARE, link.request(wire.MSG_FETCH, wire.pack_identified(fid))
+        )
+    except _ServerRefusal as exc:
+        if exc.code == wire.ERR_UNKNOWN_ID:
+            raise UnknownFingerprint([link.point]) from exc
+        raise TransportError(str(exc)) from exc
     try:
         return deserialize_share_vector(rpayload)
     except ValueError as exc:
@@ -772,19 +778,13 @@ def verify_residual(
     audited to identify the culprit; spare servers beyond the quorum
     are what make any of this observable.
     """
-    _check_links(links, cfg)
     scheme = cfg.scheme
     if scheme.n == scheme.quorum:
         raise NotApplicable(
             "with n equal to the quorum there is a single subset and nothing to compare"
         )
-    flat = np.asarray(residual, dtype=np.float64).ravel()
-    _check_share_frame(fid, flat.size)
-    vectors = prepare_vector(flat, cfg.scaling, scheme, cfg.mode, rng)
+    _, vectors, parts = _query_servers(residual, fid, cfg, links, rng, stop_at=None)
     sent = {vec.point: vec for vec in vectors}
-    parts, unknown, malformed = _fan_out(links, vectors, fid, cfg, stop_at=None)
-    if len(parts) < cfg.quorum:
-        raise _no_quorum(len(parts), unknown, malformed, cfg)
     parts = sorted(parts, key=lambda pc: pc.point)
     by_point = {pc.point: pc for pc in parts}
     responding = tuple(pc.point for pc in parts)
@@ -798,18 +798,9 @@ def verify_residual(
     suspects: set[int] = set()
     implicated: dict[int, list[tuple[int, ...]]] = {}
     if not consistent:
-        # Every FETCH under one deadline, with `_fan_out`'s rule.
-        deadline = time.monotonic() + cfg.timeout_ms / 1000.0
         answered = [link for link in links if link.point in by_point]
-        futures = [link.submit(partial(fetch_share, fid, link), deadline) for link in answered]
-        wait(futures, timeout=max(0.0, deadline - time.monotonic()))
-        fetched: dict[int, ShareVector] = {}
-        for link, fut in zip(answered, futures):
-            try:
-                if fut.done():
-                    fetched[link.point] = fut.result()
-            except (TransportError, UnknownFingerprint):
-                continue
+        records = _gather(answered, [partial(fetch_share, fid, link) for link in answered], cfg)
+        fetched = {link.point: vec for link, vec in records if isinstance(vec, ShareVector)}
         suspects |= _audit_stored_shares(fetched, scheme)
         suspects |= _audit_partials(fetched, sent, by_point, cfg)
         honest = _honest_triple(triples, suspects)

@@ -2,14 +2,20 @@ import os
 import socket
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
 import sss_prnu
 from sss_prnu import (
+    CloudServer,
     GaussianDenoiser,
+    ProtocolConfig,
     ServerStore,
+    ShareScheme,
+    TcpCloudServer,
     extract_residual,
     read_nmat,
     read_pgm,
@@ -288,6 +294,49 @@ def test_missing_transport_is_usage_error(dataset, capsys):
     )
     assert code == 2
     assert "store-root" in err
+
+
+def test_query_returns_past_a_silent_server(dataset, capsys):
+    # Server 4's endpoint accepts connections but never answers.  The
+    # query matches on servers 1-3, and closing its links wakes the link
+    # worker still waiting on server 4 instead of waiting out the timeout.
+    cfg = ProtocolConfig(scheme=ShareScheme(l=2, n=4), threshold=0.3)
+    servers = [TcpCloudServer(("127.0.0.1", 0), CloudServer(u, cfg)) for u in (1, 2, 3, 4)]
+    for srv in servers:
+        threading.Thread(
+            target=srv.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        ).start()
+    silent = socket.socket()
+    silent.bind(("127.0.0.1", 0))
+    silent.listen(1)
+    live = ["%s:%d" % srv.server_address[:2] for srv in servers]
+    try:
+        code, out, _ = run_cli(
+            ["enroll", "--fingerprint", dataset["fp"], "--id", "cam00",
+             "--servers", ",".join(live), "--seed", "5"],
+            capsys,
+        )
+        assert code == 0
+        assert kv(out)["acked"] == "1,2,3,4"
+        endpoints = live[:3] + ["%s:%d" % silent.getsockname()[:2]]
+        t0 = time.monotonic()
+        code, out, _ = run_cli(
+            ["query", "--image", dataset["same_query"], "--id", "cam00",
+             "--servers", ",".join(endpoints), "--threshold", "0.3",
+             "--timeout-ms", "2000", "--seed", "6"],
+            capsys,
+        )
+        elapsed = time.monotonic() - t0
+        assert code == 0
+        assert out.strip().endswith("MATCH")
+        assert sorted(kv(out)["servers_used"].split(",")) == ["1", "2", "3"]
+        assert elapsed < 1.0
+        assert not [t for t in threading.enumerate() if t.name.startswith("TcpLink-")]
+    finally:
+        silent.close()
+        for srv in servers:
+            srv.shutdown()
+            srv.server_close()
 
 
 def request_once(address, ftype, payload):

@@ -16,6 +16,7 @@ from sss_prnu import (
     DimensionMismatch,
     EnrollTimeout,
     LocalCluster,
+    LocalLink,
     NotApplicable,
     ProtocolConfig,
     QuorumNotReached,
@@ -93,12 +94,49 @@ def test_enroll_rolls_back_on_partial_failure():
     with pytest.raises(EnrollTimeout) as exc:
         enroll(base, "cam", CFG, cluster.links, random.Random(1))
     assert exc.value.points == (3,)
+    assert "server 3 is unreachable" in str(exc.value)
     for server in cluster.servers.values():
         assert server.store.get("cam") is None
     # After the failure the id does not exist anywhere.
     cluster.set_down([])
     with pytest.raises(UnknownFingerprint):
         query_residual(base, "cam", CFG, cluster.links, random.Random(2))
+
+
+class _LostAckLink(LocalLink):
+    """Delivers every ENROLL to its server, then loses the reply."""
+
+    def request(self, ftype, payload):
+        reply = super().request(ftype, payload)
+        if ftype == wire.MSG_ENROLL:
+            raise TransportError(f"server {self.point}: connection reset")
+        return reply
+
+
+@pytest.mark.parametrize("fault", ["lost-ack", "refused-reenroll"])
+def test_enroll_rolls_back_every_server(fault):
+    # The delete marker must reach the servers that did not acknowledge
+    # too: one whose ACK was lost stored the new share, and one that
+    # refused a re-enroll still holds the old one.
+    cluster = make_cluster()
+    base, near, _ = sample_pair(9)
+    links = list(cluster.links)
+    if fault == "lost-ack":
+        links[2] = _LostAckLink(cluster.servers[3])
+        cause = "server 3: connection reset"
+    else:
+        enroll(near, "cam", CFG, links, random.Random(1))
+        inner = cluster.servers[3].handle
+        refusals = iter([(wire.MSG_ERROR, wire.pack_error(wire.ERR_INTERNAL, "disk full"))])
+        cluster.servers[3].handle = lambda ftype, payload: (
+            next(refusals, None) or inner(ftype, payload)
+        )
+        cause = "server 3: disk full (code 3)"
+    with pytest.raises(EnrollTimeout) as exc:
+        enroll(base, "cam", CFG, links, random.Random(2))
+    assert exc.value.points == (3,)
+    assert cause in str(exc.value)
+    assert [u for u, s in cluster.servers.items() if s.store.get("cam") is not None] == []
 
 
 def test_reenroll_replaces_previous_fingerprint():
@@ -186,8 +224,11 @@ def test_two_failures_break_quorum():
     enroll(base, "cam", CFG, cluster.links, random.Random(1))
     for downs in combinations(SCHEME.evaluation_points, 2):
         cluster.set_down(downs)
-        with pytest.raises(QuorumNotReached):
+        with pytest.raises(QuorumNotReached) as exc:
             query_residual(near, "cam", CFG, cluster.links, random.Random(2))
+        assert (exc.value.responded, exc.value.required) == (2, 3)
+        for u in downs:
+            assert f"server {u} is unreachable" in str(exc.value)
     cluster.set_down([])
 
 
@@ -295,7 +336,7 @@ def test_verify_needs_spare_servers():
         verify_residual(near, "cam", cfg, cluster.links, random.Random(2))
 
 
-def test_fault_plan():
+def test_tampered_store_named_with_one_server_down_at_n5():
     # One server down still leaves a spare when n is 5, so the tampered
     # one remains identifiable.
     scheme = ShareScheme(l=2, n=5)
@@ -766,6 +807,53 @@ def test_tcp_tampered_verify_fetches_under_one_deadline():
         elapsed = time.monotonic() - t0
         assert report.suspects == (2,)
         assert elapsed < 1.5 * cfg.timeout_ms / 1000.0
+    finally:
+        release.set()
+        for link in links:
+            link.close()
+        for srv in servers:
+            srv.shutdown()
+            srv.server_close()
+
+
+def test_tcp_hung_server_cannot_stall_enrollment():
+    # Server 4 hangs on every ENROLL, the delete marker included: the
+    # enroll waits one deadline for it and the rollback one more.  Once
+    # released, server 4 may still store the share; that is the race the
+    # `enroll` docstring names, so only the live servers are checked.
+    cfg = ProtocolConfig(scheme=SCHEME, threshold=0.5, timeout_ms=400)
+    release = threading.Event()
+    clouds, servers = [], []
+    for u in SCHEME.evaluation_points:
+        cloud = CloudServer(u, cfg)
+        if u == 4:
+            inner = cloud.handle
+
+            def hung_on_enroll(ftype, payload, inner=inner):
+                if ftype == wire.MSG_ENROLL:
+                    release.wait(30)
+                return inner(ftype, payload)
+
+            cloud.handle = hung_on_enroll
+        srv = TcpCloudServer(("127.0.0.1", 0), cloud)
+        threading.Thread(
+            target=srv.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        ).start()
+        clouds.append(cloud)
+        servers.append(srv)
+    links = [TcpLink(c.point, s.server_address, cfg.timeout_ms) for c, s in zip(clouds, servers)]
+    try:
+        base, _, _ = sample_pair(32)
+        t0 = time.monotonic()
+        with pytest.raises(EnrollTimeout) as exc:
+            enroll(base, "cam", cfg, links, random.Random(1))
+        elapsed = time.monotonic() - t0
+        assert exc.value.points == (4,)
+        assert elapsed < 2.5 * cfg.timeout_ms / 1000.0
+        assert [c.point for c in clouds[:3] if c.store.get("cam") is not None] == []
+        for link in links:
+            link.close()
+        assert not [t for t in threading.enumerate() if t.name.startswith("TcpLink-")]
     finally:
         release.set()
         for link in links:
