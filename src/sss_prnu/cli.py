@@ -236,7 +236,7 @@ def cmd_serve(args) -> int:
     host, _, port = args.listen.rpartition(":")
     if not host or not port.isdigit():
         raise ValueError(f"bad --listen address {args.listen!r}")
-    store = ServerStore(args.point, args.store)
+    store = ServerStore(args.point, cfg.scheme.field, args.store)
     server = CloudServer(args.point, cfg, store)
     with TcpCloudServer((host, int(port)), server) as srv:
         bound_host, bound_port = srv.server_address[:2]

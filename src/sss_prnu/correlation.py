@@ -1,18 +1,21 @@
 """Pearson correlation computed piecewise over secret shares.
 
 The correlation r = P / sqrt(Q * R) decomposes into three sums of
-products over mean-centered vectors a, b:
+products over a mean-centered fingerprint a and query residual b:
 
     P = sum(a_k * b_k)    Q = sum(a_k * a_k)    R = sum(b_k * b_k)
 
-Each cloud server holds one share of a and one share of b, multiplies
-them elementwise (the single multiplication the sharing scheme allows),
-and sums locally (`PrimeField.sum_products`); the stored share's Q
-share does not depend on the query, so a server caches it.
-The per-server partial sums are shares of P, Q, R at the doubled degree,
-so a quorum of 2l-1 partials reconstructs the exact integer sums.  Only
-the final division and square root happen in plaintext, on the
-reconstructing side.
+R involves the query alone.  The querier holds its residual in the
+clear, so `prepare_vector` takes R exactly from the same fixed-point
+integers it shares.  P and Q need the fingerprint, which only the cloud
+servers hold, in shares.  Each server holds one share of a and one
+share of b, multiplies them elementwise (the single multiplication the
+sharing scheme allows), and sums locally (`PrimeField.sum_products`);
+the stored share's Q share does not depend on the query, so a server
+caches it.  The per-server partial sums are shares of P and Q at the
+doubled degree, so a quorum of 2l-1 partials reconstructs the exact
+integer sums.  Only the final division and square root happen in
+plaintext, on the reconstructing side.
 
 Centering happens in one of two places.  With plaintext centering the
 data owner subtracts the mean before sharing.  With encrypted centering
@@ -21,7 +24,8 @@ the shares carry raw values and each server applies the moment identity
     N * sum(a_k * b_k) - sum(a_k) * sum(b_k)
         = N * sum((a_k - mean a) * (b_k - mean b))
 
-to its sums of products and share sums, so P, Q, R arrive scaled by N.
+to its sums of products and share sums, so P and Q arrive scaled by N.
+The querier's R is N * sum(b_k * b_k) - sum(b_k)**2, with the same factor.
 
 All field values are exact fixed-point integers, so under the capacity
 bound the reconstructed sums equal the plaintext sums bit for bit.
@@ -41,10 +45,11 @@ from .fixedpoint import Centering, Scaling, capacity_check, encode_vector
 from .prnu import DegenerateInput
 from .sharing import (
     DegreeMismatch,
+    InsufficientShares,
     ShareScheme,
     ShareVector,
     check_product_operands,
-    reconstruct_vector,
+    lagrange_weights,
     share_vector,
 )
 
@@ -59,12 +64,11 @@ class NegativeSquareSum(ValueError):
 
 @dataclass(frozen=True)
 class PartialCorrelation:
-    """One server's contribution: shares of P, Q, R at degree 2l-2."""
+    """One server's contribution: shares of P and Q at degree 2l-2."""
 
     point: int
     p_share: int
     q_share: int
-    r_share: int
     degree_hint: int
 
 
@@ -89,7 +93,7 @@ def prepare_vector(
     scheme: ShareScheme,
     mode: Centering = Centering.PLAINTEXT,
     rng: Optional[random.Random] = None,
-) -> list[ShareVector]:
+) -> tuple[list[ShareVector], int]:
     """Encode a matrix into fixed point and split it into n share vectors.
 
     Plaintext centering subtracts the mean before encoding, so shares
@@ -97,6 +101,10 @@ def prepare_vector(
     the raw encodings and leaves centering to the moment identity in
     `compute_partials`; the capacity check then covers the element_count
     amplification that identity carries.
+
+    Also returns the matrix's own square sum R over the shared integers
+    m: sum(m * m) under plaintext centering, N * sum(m * m) - sum(m)**2
+    under encrypted.  For a query residual it is the R of r.
     """
     flat = np.asarray(m, dtype=np.float64).ravel()
     if flat.size == 0:
@@ -111,14 +119,17 @@ def prepare_vector(
     bound = max_centered + (0.5 if plaintext else 1.0) / s.scale
     capacity_check(int(flat.size), bound, s, scheme.field, mode)
     # The centered copy is freed before the share pass starts.
-    secrets = encode_vector(flat - mean if plaintext else flat, s, scheme.field)
-    return share_vector(secrets, scheme, rng)
+    secrets, total, squares = encode_vector(flat - mean if plaintext else flat, s, scheme.field)
+    # The capacity check bounds the square sum below 2**60, so its value
+    # mod 2**64 is the exact integer.
+    own = squares if plaintext else (flat.size * squares - total * total) % 2**64
+    return share_vector(secrets, scheme, rng), own
 
 
 def compute_partials(
     a: ShareVector, b: ShareVector, scheme: ShareScheme, mode: Centering, q: Optional[int] = None
 ) -> PartialCorrelation:
-    """One server's local work: three sums of elementwise share products.
+    """One server's local work: the sums of elementwise share products.
 
     Runs on one server's pair of shares alone.  `q` is a's Q share from
     an earlier partial, which a server caches; without it, Q is summed
@@ -136,58 +147,58 @@ def compute_partials(
         return f.sub(f.mul(len(a), xy), f.mul(sx, sy)) if encrypted else xy
 
     if q is None:
-        aa, bb, ab = f.sum_products([a.values, b.values], [(0, 0), (1, 1), (0, 1)])
+        aa, ab = f.sum_products([a.values, b.values], [(0, 0), (0, 1)])
         q = center(aa, sa, sa)
     else:
-        bb, ab = f.sum_products([b.values, a.values], [(0, 0), (0, 1)])
+        (ab,) = f.sum_products([a.values, b.values], [(0, 1)])
     return PartialCorrelation(
         point=a.point,
         p_share=center(ab, sa, sb),
         q_share=q,
-        r_share=center(bb, sb, sb),
         degree_hint=scheme.product_degree,
     )
 
 
 def reconstruct_sum_ints(
-    parts: Sequence[PartialCorrelation], scheme: ShareScheme
+    parts: Sequence[PartialCorrelation], r_int: int, scheme: ShareScheme
 ) -> tuple[int, int, int]:
-    """Exact signed integer sums (P, Q, R) from a quorum of partials.
+    """Exact signed integer sums (P, Q, R) from a quorum of partials and
+    the querier's own R (`prepare_vector`).
 
     The integer level is what consistency auditing compares: honest
     quorum subsets agree on these exactly, before any float decoding.
-    The three shares of each partial form one product-degree
-    `ShareVector`, so `reconstruct_vector` applies its point and quorum
-    guards here too.
+    P and Q are interpolated at zero with the Lagrange weights of the
+    partials' points, in Python ints.
     """
     if any(pc.degree_hint != scheme.product_degree for pc in parts):
         raise DegreeMismatch("partials must carry the doubled degree")
-    vectors = [
-        ShareVector(pc.point, [pc.p_share, pc.q_share, pc.r_share], pc.degree_hint)
-        for pc in parts
-    ]
-    p_int, q_int, r_int = (scheme.field.signed(v) for v in reconstruct_vector(vectors, scheme))
+    if len(parts) < scheme.quorum:
+        raise InsufficientShares(len(parts), scheme.quorum)
+    f = scheme.field
+    weights = lagrange_weights([pc.point for pc in parts], 0, f)
+    p_int = f.signed(sum(w * pc.p_share for w, pc in zip(weights, parts)) % f.p)
+    q_int = f.signed(sum(w * pc.q_share for w, pc in zip(weights, parts)) % f.p)
     return p_int, q_int, r_int
 
 
 def reconstruct_partials(
     parts: Sequence[PartialCorrelation],
+    r_int: int,
     scheme: ShareScheme,
     scaling: Scaling,
     mode: Centering,
     element_count: int,
 ) -> tuple[float, float, float]:
-    """Three Lagrange reconstructions, decoded back to real sums.
+    """Two Lagrange reconstructions and the querier's R, decoded back to
+    real sums.
 
     Products carry the squared scale; the moment identity of encrypted
     centering leaves an element_count factor in each sum as well.
     Decoding is a single exact integer-by-integer division per sum.
     """
-    p_int, q_int, r_int = reconstruct_sum_ints(parts, scheme)
-    if q_int < 0 or r_int < 0:
-        raise NegativeSquareSum(
-            f"reconstructed Q={q_int}, R={r_int}; sums of squares cannot be negative"
-        )
+    p_int, q_int, r_int = reconstruct_sum_ints(parts, r_int, scheme)
+    if q_int < 0:
+        raise NegativeSquareSum(f"reconstructed Q={q_int}; a sum of squares cannot be negative")
     denom = scaling.scale**2
     if mode is Centering.ENCRYPTED:
         denom *= element_count
@@ -216,22 +227,21 @@ def finalize(
     )
 
 
-_PARTIAL_WIRE = struct.Struct(">QQQQ")
+_PARTIAL_WIRE = struct.Struct(">QQQ")
 
 
 def serialize_partial(pc: PartialCorrelation) -> bytes:
-    """point | p_share | q_share | r_share, 8 bytes each, big-endian."""
-    return _PARTIAL_WIRE.pack(pc.point, pc.p_share, pc.q_share, pc.r_share)
+    """point | p_share | q_share, 8 bytes each, big-endian."""
+    return _PARTIAL_WIRE.pack(pc.point, pc.p_share, pc.q_share)
 
 
 def deserialize_partial(raw: bytes, scheme: ShareScheme) -> PartialCorrelation:
     if len(raw) != _PARTIAL_WIRE.size:
         raise ValueError(f"partial correlation must be {_PARTIAL_WIRE.size} bytes")
-    point, p_share, q_share, r_share = _PARTIAL_WIRE.unpack(raw)
+    point, p_share, q_share = _PARTIAL_WIRE.unpack(raw)
     return PartialCorrelation(
         point=point,
         p_share=p_share,
         q_share=q_share,
-        r_share=r_share,
         degree_hint=scheme.product_degree,
     )

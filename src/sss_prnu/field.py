@@ -17,9 +17,9 @@ Every per-element product runs on two exact kernels:
     w in [0, p) and every x < 2**64.
   * `sum_products`: sums of products sum_k x_k * y_k mod p over chosen
     pairs of vectors, by 1-D integer `np.dot`s (no BLAS) of 21-bit
-    limbs, each vector split once.  Each limb product is below 2**42,
-    so a block of up to 2**22 columns stays exact in `uint64`; blocks
-    and limbs recombine in Python ints mod p.
+    limbs, each vector split once per chunk of columns.  Each limb
+    product is below 2**42, so any chunk of up to 2**22 columns stays
+    exact in `uint64`; chunks and limbs recombine in Python ints mod p.
 """
 
 from __future__ import annotations
@@ -47,9 +47,9 @@ _SHIFT32 = np.array(32, dtype=ELEMENT_DTYPE)
 _LIMB_BITS = 21
 _LIMB_MASK = np.array((1 << _LIMB_BITS) - 1, dtype=ELEMENT_DTYPE)
 _LIMB_SHIFT = np.array(_LIMB_BITS, dtype=ELEMENT_DTYPE)
-# Columns per block of limb dots: (2**21 - 1)**2 * 2**22 < 2**64.
-GRAM_BLOCK = 1 << 22
-# Elements per pass of the chunked kernels: `mul_scalar` and share generation.
+# Elements per pass of the chunked kernels: `mul_scalar`, `sum_products`
+# and share generation.  A chunk of limb dots is exact in uint64, as
+# (2**21 - 1)**2 * CHUNK < 2**64.
 CHUNK = 1 << 15
 
 
@@ -175,10 +175,11 @@ class PrimeField:
         return a * b % self.p
 
     def inv(self, a: int) -> int:
-        """Multiplicative inverse via Fermat: a**(p-2) mod p."""
+        """Multiplicative inverse by the extended Euclidean algorithm
+        (`pow(a, -1, p)`), several times faster than Fermat's a**(p-2)."""
         if a % self.p == 0:
             raise ZeroInverse("0 has no multiplicative inverse")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def signed(self, a: int) -> int:
         """Lift a canonical residue to the signed range (-(p-1)/2, (p-1)/2]."""
@@ -246,8 +247,8 @@ class PrimeField:
     ) -> list[int]:
         """[sum_k u_k * v_k mod p for u, v = vectors[i], vectors[j], for each
         (i, j) in pairs], exactly, by 1-D integer dots of 21-bit limbs per
-        block of GRAM_BLOCK columns; every vector is split into limbs once
-        per block, and limbs and blocks recombine in Python ints.
+        chunk of CHUNK columns; every vector is split into limbs once per
+        chunk, and limbs and chunks recombine in Python ints.
         """
         length = len(vectors[0])
         if any(len(v) != length for v in vectors):
@@ -255,8 +256,8 @@ class PrimeField:
         if length and max(int(v.max()) for v in vectors) >= self.p:
             raise ValueError(f"vectors hold values outside Z_{self.p}")
         sums = [0] * len(pairs)
-        for start in range(0, length, GRAM_BLOCK):
-            limbs = [_limbs(v[start : start + GRAM_BLOCK]) for v in vectors]
+        for start in range(0, length, CHUNK):
+            limbs = [_limbs(v[start : start + CHUNK]) for v in vectors]
             for t, (a, b) in enumerate(pairs):
                 xl, yl = limbs[a], limbs[b]
                 # Limb i weighs 2**(21 i).  A square takes each off-diagonal

@@ -4,7 +4,9 @@ Reals are scaled by 10**d, rounded to the nearest integer (ties away
 from zero), and mapped into Z_p with negatives represented as p - |m|.
 Products of two encoded values therefore carry a 10**(2d) scale, which
 `correlation.reconstruct_partials` divides out after the signed lift
-`PrimeField.signed`.
+`PrimeField.signed`.  `encode_vector` also returns the sum and the sum
+of squares of the signed integers, from which the querier takes its own
+square sum R without any share arithmetic.
 
 All of the encrypted-domain arithmetic is exact as long as every
 intermediate integer stays within the signed range (-(p-1)/2, (p-1)/2];
@@ -85,12 +87,17 @@ def round_half_away(x: float) -> int:
     return math.ceil(x - 0.5)
 
 
-def encode_vector(xs: np.ndarray, s: Scaling, field: PrimeField) -> np.ndarray:
-    """Encode reals as round(x * 10**d) mod p, as a `uint64` vector.
+def encode_vector(
+    xs: np.ndarray, s: Scaling, field: PrimeField
+) -> tuple[np.ndarray, int, int]:
+    """Encode reals as m = round(x * 10**d) mod p, as a `uint64` vector.
 
     Rounding is `round_half_away` applied elementwise.  Negative values
     land at p - |m| so `PrimeField.signed` recovers them exactly.
-    Raises OutOfRange unless every |m| is at most (p-1)/2.
+    Raises OutOfRange unless every |m| is at most (p-1)/2.  Returns the
+    vector with sum(m) and sum(m * m) of the signed integers, both
+    reduced mod 2**64: an integer formula in them is right mod 2**64, so
+    exact when its true value lies in [0, 2**64).
     """
     m = np.asarray(xs, dtype=np.float64) * s.scale
     # trunc(x + copysign(0.5, x)) is floor(x + 0.5) for x >= 0 and
@@ -105,13 +112,17 @@ def encode_vector(xs: np.ndarray, s: Scaling, field: PrimeField) -> np.ndarray:
     if not math.isfinite(peak) or int(peak) > field.half:
         x = np.asarray(xs).flat[int(np.argmax(np.abs(m)))]
         raise OutOfRange(f"|{x}| scaled by 10^{s.d} exceeds the signed field range")
-    # Signed lift: q + p for q < 0, as q >> 63 is all ones exactly there.
     q = m.astype(np.int64)
+    # Before the lift: unsigned arithmetic wraps mod 2**64 by definition,
+    # and an integer dot never calls BLAS.
+    u = q.view(ELEMENT_DTYPE)
+    total, squares = int(u.sum()), int(np.dot(u, u))
+    # Signed lift: q + p for q < 0, as q >> 63 is all ones exactly there.
     lift = half.view(np.int64)
     np.right_shift(q, 63, out=lift)
     lift &= field.p
     q += lift
-    return q.view(ELEMENT_DTYPE)
+    return u, total, squares
 
 
 def capacity_check(

@@ -8,9 +8,9 @@ Entities and their trust boundaries:
     fingerprint and computes partial correlations locally.  They never
     talk to each other and never see plaintext.
   * Match Maker Server: fans a query out, collects the first quorum of
-    partials, reconstructs P, Q, R.
-  * Match Maker: extracts the query residual, applies the threshold to
-    the final r.
+    partials, reconstructs P and Q.
+  * Match Maker: extracts the query residual, sums its own square R in
+    the clear, applies the threshold to the final r.
 
 In this implementation the trusted roles are plain driver functions
 (enroll, query, verify_consistency) and the servers are CloudServer
@@ -59,6 +59,7 @@ from .correlation import (
     reconstruct_sum_ints,
     serialize_partial,
 )
+from .field import PrimeField
 from .fixedpoint import Centering, Scaling
 from .prnu import DimensionMismatch, GaussianDenoiser, extract_residual
 from .sharing import (
@@ -159,12 +160,12 @@ class ServerStore:
 
     Optionally persistent: one file per id under `directory`, named by
     the hex of the id so arbitrary ids stay filesystem-safe.  A file that
-    does not parse or holds another point's share is logged and skipped,
-    so one bad file cannot keep the server from starting.  All mutations
-    go through one lock.
+    does not parse, holds another point's share or holds values outside
+    `field` is logged and skipped, so one bad file cannot keep the server
+    from starting.  All mutations go through one lock.
     """
 
-    def __init__(self, point: int, directory: Optional[str] = None):
+    def __init__(self, point: int, field: PrimeField, directory: Optional[str] = None):
         self.point = point
         self.directory = directory
         self._lock = threading.Lock()
@@ -177,7 +178,10 @@ class ServerStore:
                 try:
                     fid = bytes.fromhex(name[: -len(".share")]).decode("utf-8")
                     with open(os.path.join(directory, name), "rb") as fh:
-                        self._vectors[fid] = self._check_point(deserialize_share_vector(fh.read()))
+                        vec = self._check_point(deserialize_share_vector(fh.read()))
+                    if len(vec) and int(vec.values.max()) >= field.p:
+                        raise ValueError(f"share values outside Z_{field.p}")
+                    self._vectors[fid] = vec
                 except ValueError as exc:
                     _log.warning("skipping share file %s in %s: %s", name, directory, exc)
 
@@ -222,7 +226,7 @@ class CloudServer:
             raise ValueError(f"point {point} is not part of the scheme")
         self.point = point
         self.cfg = cfg
-        self.store = store if store is not None else ServerStore(point)
+        self.store = store if store is not None else ServerStore(point, cfg.scheme.field)
         self._own: dict[str, tuple] = {}  # fid -> (stored vector, its Q share)
 
     def safe_handle(self, ftype: int, payload: bytes) -> tuple[int, bytes]:
@@ -448,7 +452,7 @@ class LocalCluster:
         self.links: list[LocalLink] = []
         for u in cfg.scheme.evaluation_points:
             directory = os.path.join(store_root, f"server_{u}") if store_root else None
-            server = CloudServer(u, cfg, ServerStore(u, directory))
+            server = CloudServer(u, cfg, ServerStore(u, cfg.scheme.field, directory))
             self.servers[u] = server
             self.links.append(LocalLink(server, observer=observer))
 
@@ -585,7 +589,7 @@ def enroll(
     store the share after the marker deleted it.
     """
     _check_request(links, cfg, fid, np.size(fingerprint))
-    vectors = prepare_vector(fingerprint, cfg.scaling, cfg.scheme, cfg.mode, rng)
+    vectors, _ = prepare_vector(fingerprint, cfg.scaling, cfg.scheme, cfg.mode, rng)
     records = _gather(links, _enroll_requests(links, fid, vectors), cfg)
     failed = [(link, result) for link, result in records if isinstance(result, Exception)]
     if failed:
@@ -631,21 +635,22 @@ def _no_quorum(
 
 def _query_servers(
     residual: np.ndarray, fid: str, cfg: ProtocolConfig, links: Sequence, rng, stop_at
-) -> tuple[int, list[ShareVector], list[PartialCorrelation]]:
+) -> tuple[int, int, list[ShareVector], list[PartialCorrelation]]:
     """Share a residual out as QUERYs and gather the partials.
 
-    Returns the element count, the query shares sent and the partials in
-    arrival order; fewer than a quorum raise `_no_quorum`'s error.
+    Returns the element count, the residual's own square sum R, the query
+    shares sent and the partials in arrival order; fewer than a quorum
+    raise `_no_quorum`'s error.
     """
     flat = np.asarray(residual, dtype=np.float64).ravel()
     _check_request(links, cfg, fid, flat.size)
-    vectors = prepare_vector(flat, cfg.scaling, cfg.scheme, cfg.mode, rng)
+    vectors, r_int = prepare_vector(flat, cfg.scaling, cfg.scheme, cfg.mode, rng)
     requests = [partial(_send_query, link, fid, vec, cfg) for link, vec in zip(links, vectors)]
     records = _gather(links, requests, cfg, stop_at)
     parts = [result for _, result in records if isinstance(result, PartialCorrelation)]
     if len(parts) < cfg.quorum:
         raise _no_quorum(len(parts), records, cfg)
-    return flat.size, vectors, parts
+    return flat.size, r_int, vectors, parts
 
 
 def query_residual(
@@ -656,9 +661,11 @@ def query_residual(
     rng: Optional[random.Random] = None,
 ) -> MatchResult:
     """Correlate an already-extracted residual against an enrolled id."""
-    count, _, parts = _query_servers(residual, fid, cfg, links, rng, stop_at=cfg.quorum)
+    count, r_int, _, parts = _query_servers(residual, fid, cfg, links, rng, stop_at=cfg.quorum)
     first = parts[: cfg.quorum]
-    p_val, q_val, r_val = reconstruct_partials(first, cfg.scheme, cfg.scaling, cfg.mode, count)
+    p_val, q_val, r_val = reconstruct_partials(
+        first, r_int, cfg.scheme, cfg.scaling, cfg.mode, count
+    )
     return finalize(
         p_val, q_val, r_val, cfg.threshold, server_subset=[pc.point for pc in first]
     )
@@ -755,11 +762,7 @@ def _audit_partials(
         except Exception:
             suspects.add(u)
             continue
-        if (expected.p_share, expected.q_share, expected.r_share) != (
-            pc.p_share,
-            pc.q_share,
-            pc.r_share,
-        ):
+        if (expected.p_share, expected.q_share) != (pc.p_share, pc.q_share):
             suspects.add(u)
     return suspects
 
@@ -774,16 +777,17 @@ def verify_residual(
     """Cross-check reconstruction over every quorum subset of servers.
 
     All subsets agree exactly on the integer (P, Q, R) triple when
-    nobody tampered.  On disagreement, stored shares are fetched and
-    audited to identify the culprit; spare servers beyond the quorum
-    are what make any of this observable.
+    nobody tampered; R is the querier's own, the same in every triple,
+    so P and Q carry the comparison.  On disagreement, stored shares are
+    fetched and audited to identify the culprit; spare servers beyond
+    the quorum are what make any of this observable.
     """
     scheme = cfg.scheme
     if scheme.n == scheme.quorum:
         raise NotApplicable(
             "with n equal to the quorum there is a single subset and nothing to compare"
         )
-    _, vectors, parts = _query_servers(residual, fid, cfg, links, rng, stop_at=None)
+    _, r_int, vectors, parts = _query_servers(residual, fid, cfg, links, rng, stop_at=None)
     sent = {vec.point: vec for vec in vectors}
     parts = sorted(parts, key=lambda pc: pc.point)
     by_point = {pc.point: pc for pc in parts}
@@ -792,7 +796,7 @@ def verify_residual(
     triples: dict[tuple[int, ...], tuple[int, int, int]] = {}
     for subset in combinations(parts, cfg.quorum):
         key = tuple(pc.point for pc in subset)
-        triples[key] = reconstruct_sum_ints(list(subset), scheme)
+        triples[key] = reconstruct_sum_ints(subset, r_int, scheme)
     consistent = len(set(triples.values())) == 1
 
     suspects: set[int] = set()

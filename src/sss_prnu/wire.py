@@ -9,7 +9,7 @@ Message types:
     0x01 ENROLL      id-length (2B) | id bytes | share vector
     0x02 ENROLL_ACK  empty
     0x03 QUERY       id-length (2B) | id bytes | share vector
-    0x04 PARTIAL     partial correlation (32 bytes)
+    0x04 PARTIAL     partial correlation (24 bytes)
     0x05 FETCH       id-length (2B) | id bytes
     0x06 SHARE       share vector
     0x7F ERROR       code (2B) | utf-8 message

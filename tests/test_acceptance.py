@@ -50,11 +50,11 @@ S4 = Scaling(4)
 def encrypted_r(x, y, rng):
     """Correlation-layer pipeline: share, multiply under encryption,
     reconstruct from the first quorum."""
-    ex = prepare_vector(x, S4, SCHEME, Centering.PLAINTEXT, rng)
-    ey = prepare_vector(y, S4, SCHEME, Centering.PLAINTEXT, rng)
+    ex, _ = prepare_vector(x, S4, SCHEME, Centering.PLAINTEXT, rng)
+    ey, r_int = prepare_vector(y, S4, SCHEME, Centering.PLAINTEXT, rng)
     parts = [compute_partials(a, b, SCHEME, Centering.PLAINTEXT) for a, b in zip(ex, ey)]
     p_val, q_val, r_val = reconstruct_partials(
-        parts[: SCHEME.quorum], SCHEME, S4, Centering.PLAINTEXT, x.size
+        parts[: SCHEME.quorum], r_int, SCHEME, S4, Centering.PLAINTEXT, x.size
     )
     return finalize(p_val, q_val, r_val, 0.0).r
 

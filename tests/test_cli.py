@@ -12,6 +12,7 @@ import sss_prnu
 from sss_prnu import (
     CloudServer,
     GaussianDenoiser,
+    PrimeField,
     ProtocolConfig,
     ServerStore,
     ShareScheme,
@@ -253,7 +254,7 @@ def test_verify_flags_tampered_store(dataset, tmp_path, capsys):
     )
     assert code == 0
     # Corrupt one element of server 2's stored share on disk.
-    s2 = ServerStore(2, os.path.join(store, "server_2"))
+    s2 = ServerStore(2, PrimeField(), os.path.join(store, "server_2"))
     vec = s2.get("cam00")
     values = list(vec.values)
     values[17] = (values[17] + 1) % (2**61 - 1)

@@ -35,12 +35,12 @@ S4 = Scaling(4)
 def run_pipeline(x, y, scaling, mode, scheme=SCHEME, rng=None, subset=None):
     """Full encrypted path, returning (MatchResult, int sums)."""
     rng = rng if rng is not None else random.Random(0)
-    ex = prepare_vector(x, scaling, scheme, mode, rng)
-    ey = prepare_vector(y, scaling, scheme, mode, rng)
+    ex, _ = prepare_vector(x, scaling, scheme, mode, rng)
+    ey, r_int = prepare_vector(y, scaling, scheme, mode, rng)
     parts = [compute_partials(a, b, scheme, mode) for a, b in zip(ex, ey)]
     chosen = parts[: scheme.quorum] if subset is None else [parts[i] for i in subset]
-    ints = reconstruct_sum_ints(chosen, scheme)
-    p_val, q_val, r_val = reconstruct_partials(chosen, scheme, scaling, mode, len(ex[0]))
+    ints = reconstruct_sum_ints(chosen, r_int, scheme)
+    p_val, q_val, r_val = reconstruct_partials(chosen, r_int, scheme, scaling, mode, len(ex[0]))
     return finalize(p_val, q_val, r_val, 0.5), ints
 
 
@@ -59,23 +59,26 @@ def test_pipeline_matches_quantized_oracle_exactly(mode):
 
 
 def test_prepare_zero_matrix_reconstructs_zero():
-    vectors = prepare_vector(np.zeros((3, 3)), S4, SCHEME)
+    vectors, r_int = prepare_vector(np.zeros((3, 3)), S4, SCHEME)
     assert reconstruct_vector(vectors[:2], SCHEME) == [0] * 9
+    assert r_int == 0
 
 
 def test_prepare_known_values_reconstruct_to_centered_encoding():
     m = np.array([[0.1, 0.2], [0.3, 0.4]])
-    vectors = prepare_vector(m, S4, SCHEME, rng=random.Random(1))
+    vectors, r_int = prepare_vector(m, S4, SCHEME, rng=random.Random(1))
     f = SCHEME.field
     got = [f.signed(v) for v in reconstruct_vector(vectors[:2], SCHEME)]
     assert got == [-1500, -500, 500, 1500]
+    assert r_int == sum(v * v for v in got)
 
 
 def test_prepare_fresh_randomness_differs():
     m = np.array([[0.1, 0.2], [0.3, 0.4]])
-    a = prepare_vector(m, S4, SCHEME, rng=random.Random(5))
-    b = prepare_vector(m, S4, SCHEME, rng=random.Random(6))
+    a, r_a = prepare_vector(m, S4, SCHEME, rng=random.Random(5))
+    b, r_b = prepare_vector(m, S4, SCHEME, rng=random.Random(6))
     assert any(x != y for x, y in zip(a, b))
+    assert r_a == r_b
 
 
 def test_prepare_rejects_empty_and_oversized():
@@ -88,10 +91,10 @@ def test_prepare_rejects_empty_and_oversized():
 
 def encrypted_sum_ints(x, y, scaling, rng):
     """Integer (P, Q, R) of the moment identity, from the first quorum."""
-    ex = prepare_vector(x, scaling, SCHEME, Centering.ENCRYPTED, rng)
-    ey = prepare_vector(y, scaling, SCHEME, Centering.ENCRYPTED, rng)
+    ex, _ = prepare_vector(x, scaling, SCHEME, Centering.ENCRYPTED, rng)
+    ey, r_int = prepare_vector(y, scaling, SCHEME, Centering.ENCRYPTED, rng)
     parts = [compute_partials(a, b, SCHEME, Centering.ENCRYPTED) for a, b in zip(ex, ey)]
-    return reconstruct_sum_ints(parts[: SCHEME.quorum], SCHEME)
+    return reconstruct_sum_ints(parts[: SCHEME.quorum], r_int, SCHEME)
 
 
 def test_moment_identity_reference_example():
@@ -125,8 +128,8 @@ def test_centered_values_sum_to_zero():
 
 def test_compute_partials_guards_operands_in_both_modes():
     for mode in Centering:
-        a = prepare_vector(np.array([0.5, -0.5]), S4, SCHEME, mode, random.Random(7))
-        b = prepare_vector(np.array([0.5, -0.5, 1.0]), S4, SCHEME, mode, random.Random(8))
+        a, _ = prepare_vector(np.array([0.5, -0.5]), S4, SCHEME, mode, random.Random(7))
+        b, _ = prepare_vector(np.array([0.5, -0.5, 1.0]), S4, SCHEME, mode, random.Random(8))
         with pytest.raises(PointMismatch):
             compute_partials(a[0], a[1], SCHEME, mode)
         with pytest.raises(LengthMismatch):
@@ -137,17 +140,17 @@ def test_compute_partials_guards_operands_in_both_modes():
 
 
 def test_all_zero_inputs_give_zero_sums():
-    z = prepare_vector(np.zeros(4), S4, SCHEME, rng=random.Random(10))
+    z, r_int = prepare_vector(np.zeros(4), S4, SCHEME, rng=random.Random(10))
     parts = [compute_partials(v, v, SCHEME, Centering.PLAINTEXT) for v in z]
-    assert reconstruct_sum_ints(parts[:3], SCHEME) == (0, 0, 0)
+    assert reconstruct_sum_ints(parts[:3], r_int, SCHEME) == (0, 0, 0)
 
 
 def test_self_correlation_p_equals_q_equals_r():
     gen = np.random.default_rng(12)
     x = gen.uniform(-1, 1, (6, 6))
-    ex = prepare_vector(x, S4, SCHEME, rng=random.Random(11))
+    ex, r_int = prepare_vector(x, S4, SCHEME, rng=random.Random(11))
     parts = [compute_partials(v, v, SCHEME, Centering.PLAINTEXT) for v in ex]
-    p, q, r = reconstruct_sum_ints(parts[:3], SCHEME)
+    p, q, r = reconstruct_sum_ints(parts[:3], r_int, SCHEME)
     assert p == q == r
     result, _ = run_pipeline(x, x, S4, Centering.PLAINTEXT)
     assert result.r == 1.0 and result.matched
@@ -184,30 +187,29 @@ def test_subset_independence():
 def test_insufficient_partials():
     gen = np.random.default_rng(14)
     x = gen.uniform(-1, 1, (4, 4))
-    ex = prepare_vector(x, S4, SCHEME, rng=random.Random(12))
+    ex, r_int = prepare_vector(x, S4, SCHEME, rng=random.Random(12))
     parts = [compute_partials(v, v, SCHEME, Centering.PLAINTEXT) for v in ex]
     with pytest.raises(InsufficientShares):
-        reconstruct_partials(parts[:2], SCHEME, S4, Centering.PLAINTEXT, x.size)
+        reconstruct_partials(parts[:2], r_int, SCHEME, S4, Centering.PLAINTEXT, x.size)
 
 
 def test_negative_square_sum_detection():
     gen = np.random.default_rng(16)
     x = gen.uniform(-1, 1, (4, 4))
-    ex = prepare_vector(x, S4, SCHEME, rng=random.Random(14))
+    ex, r_int = prepare_vector(x, S4, SCHEME, rng=random.Random(14))
     parts = [compute_partials(v, v, SCHEME, Centering.PLAINTEXT) for v in ex]
     f = SCHEME.field
     # Force the reconstructed Q negative by shifting one q_share.
-    q_int = reconstruct_sum_ints(parts[:3], SCHEME)[1]
+    q_int = reconstruct_sum_ints(parts[:3], r_int, SCHEME)[1]
     bad = parts[0]
     bad = type(bad)(
         point=bad.point,
         p_share=bad.p_share,
         q_share=f.sub(bad.q_share, 3 * q_int % f.p),
-        r_share=bad.r_share,
         degree_hint=bad.degree_hint,
     )
     with pytest.raises(NegativeSquareSum):
-        reconstruct_partials([bad] + parts[1:3], SCHEME, S4, Centering.PLAINTEXT, x.size)
+        reconstruct_partials([bad] + parts[1:3], r_int, SCHEME, S4, Centering.PLAINTEXT, x.size)
 
 
 def test_finalize_reference_and_degenerate():
@@ -234,25 +236,42 @@ def test_decision_scale_invariant_across_d():
 def test_partial_serialization_roundtrip():
     gen = np.random.default_rng(18)
     x = gen.uniform(-1, 1, (4, 4))
-    ex = prepare_vector(x, S4, SCHEME, rng=random.Random(15))
+    ex, _ = prepare_vector(x, S4, SCHEME, rng=random.Random(15))
     pc = compute_partials(ex[2], ex[2], SCHEME, Centering.PLAINTEXT)
     raw = serialize_partial(pc)
-    assert len(raw) == 32
+    assert len(raw) == 24
     assert raw[:8] == (pc.point).to_bytes(8, "big")
+    assert raw[8:16] == pc.p_share.to_bytes(8, "big")
+    assert raw[16:] == pc.q_share.to_bytes(8, "big")
     assert deserialize_partial(raw, SCHEME) == pc
     with pytest.raises(ValueError):
         deserialize_partial(raw[:-1], SCHEME)
 
 
-def test_encrypted_mode_needs_capacity_headroom():
-    # Unit-bounded data at d=4 (a +-1 checkerboard pins the max): the
-    # moment identity's extra factor N caps encrypted centering at
-    # 327x327, while plaintext centering still fits the next side.
-    def unit(side):
-        i, j = np.indices((side, side))
-        return np.where((i + j) % 2 == 0, 1.0, -1.0)
+def unit(side):
+    """A +-1 checkerboard: unit-bounded data that pins the max."""
+    i, j = np.indices((side, side))
+    return np.where((i + j) % 2 == 0, 1.0, -1.0)
 
-    shares = prepare_vector(unit(327), S4, SCHEME, Centering.ENCRYPTED, random.Random(17))
+
+@pytest.mark.parametrize("mode", list(Centering))
+def test_querier_square_sum_matches_oracle(mode):
+    # The querier's own R against the Python-int oracle.  Data far from
+    # zero has a raw square sum past 2**64 under encrypted centering, so
+    # only its value mod 2**64 survives the dot; at the capacity edge,
+    # N * sum(m * m) under encrypted centering is within 1% of 2**60.
+    gen = np.random.default_rng(19)
+    cases = [gen.uniform(-1, 1, (16, 16)), 1e4 + gen.uniform(-1, 1, (64, 64)), unit(327)]
+    for y in cases:
+        _, r_int = prepare_vector(y, S4, SCHEME, mode, random.Random(20))
+        assert r_int == oracle_sums(y, y, S4, mode)[2]
+
+
+def test_encrypted_mode_needs_capacity_headroom():
+    # Unit-bounded data at d=4: the moment identity's extra factor N caps
+    # encrypted centering at 327x327, while plaintext centering still
+    # fits the next side.
+    shares, _ = prepare_vector(unit(327), S4, SCHEME, Centering.ENCRYPTED, random.Random(17))
     assert len(shares[0]) == 327 * 327
     prepare_vector(unit(328), S4, SCHEME, Centering.PLAINTEXT, random.Random(16))
     with pytest.raises(CapacityExceeded):

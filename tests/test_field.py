@@ -100,11 +100,11 @@ def test_elementwise_kernels_match_python_ints(p):
 
 
 @pytest.mark.parametrize("p", KERNEL_PRIMES)
-@pytest.mark.parametrize("block", [64, field.GRAM_BLOCK])
+@pytest.mark.parametrize("block", [64, field.CHUNK])
 def test_gram_matches_python_ints_across_blocks(p, block, monkeypatch):
-    # `sum_products` against Python ints.  A shrunken block puts the sizes
+    # `sum_products` against Python ints.  A shrunken chunk puts the sizes
     # below on both sides of it; all-(p-1) rows give the largest limbs.
-    monkeypatch.setattr(field, "GRAM_BLOCK", block)
+    monkeypatch.setattr(field, "CHUNK", block)
     f = PrimeField(p)
     rng = random.Random(p + 2)
     for n in (0, 63, 64, 65, 3 * 64 + 5):
@@ -120,8 +120,8 @@ def test_gram_matches_python_ints_across_blocks(p, block, monkeypatch):
 
 
 def test_gram_block_bound_and_guards():
-    # Limb products stay below 2**42; a full block of them fits uint64.
-    assert (2**21 - 1) ** 2 * field.GRAM_BLOCK < 2**64
+    # Limb products stay below 2**42; a full chunk of them fits uint64.
+    assert (2**21 - 1) ** 2 * field.CHUNK < 2**64
     f = PrimeField(17)
     one, two, p = (np.array(v, dtype=np.uint64) for v in ([1], [1, 2], [17]))
     for vectors in ([p], [one, p], [two, one], [one, one, two]):

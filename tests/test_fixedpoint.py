@@ -28,7 +28,7 @@ def test_rounding_ties_away_from_zero():
 
 
 def encode(xs, s):
-    return encode_vector(np.array(xs, dtype=np.float64), s, FIELD).tolist()
+    return encode_vector(np.array(xs, dtype=np.float64), s, FIELD)[0].tolist()
 
 
 def lift(e, s, denom_power=1):
@@ -128,18 +128,24 @@ def test_encode_vector_matches_scalar_rounding():
     xs = [0.25, -0.25, 0.35, -0.35, 0.15, -0.15, 0.05, -0.05, 0.0, -0.0, 0.04, -0.04]
     rng = random.Random(12)
     xs += [rng.uniform(-1e6, 1e6) for _ in range(2000)]
-    got = encode_vector(np.array(xs), s, FIELD)
+    # Near the edge of the signed range the square sum passes 2**64; it
+    # comes back reduced mod 2**64, as the sum does.
+    xs += [rng.choice((-1, 1)) * rng.uniform(2**59, 0.99 * 2**60) / s.scale for _ in range(64)]
+    got, total, squares = encode_vector(np.array(xs), s, FIELD)
     assert got.dtype == np.uint64
-    assert got.tolist() == [round_half_away(x * s.scale) % FIELD.p for x in xs]
+    ints = [round_half_away(x * s.scale) for x in xs]
+    assert got.tolist() == [m % FIELD.p for m in ints]
     assert got[:4].tolist() == [3, FIELD.p - 3, 4, FIELD.p - 4]
     assert got[8] == 0 and got[9] == 0
+    assert total == sum(ints) % 2**64
+    assert squares == sum(m * m for m in ints) % 2**64
 
 
 def test_encode_vector_range_edge():
     # p = 257: the signed range ends at 128, so 12.8 fits and 12.9 does not.
     f257 = PrimeField(257)
     s = Scaling(1)
-    assert encode_vector(np.array([12.8, -12.8]), s, f257).tolist() == [128, 129]
+    assert encode_vector(np.array([12.8, -12.8]), s, f257)[0].tolist() == [128, 129]
     for x in (12.9, -12.9, math.inf, math.nan):
         with pytest.raises(OutOfRange):
             encode_vector(np.array([0.0, x]), s, f257)
@@ -147,7 +153,7 @@ def test_encode_vector_range_edge():
     # must compare integers; 2**60 (one past half) is exactly representable.
     assert FIELD.half == 2**60 - 1
     below = float(2**60 - 2**7) / 10
-    assert encode_vector(np.array([below]), s, FIELD).tolist() == [2**60 - 2**7]
+    assert encode_vector(np.array([below]), s, FIELD)[0].tolist() == [2**60 - 2**7]
     with pytest.raises(OutOfRange):
         encode_vector(np.array([float(2**60) / 10]), s, FIELD)
     with pytest.raises(OutOfRange):
@@ -180,7 +186,7 @@ def test_encode_vector_matches_previous_formula():
         (Scaling(3), FIELD, list(np.random.default_rng(4).normal(0, 1e6, 5000))),
     ]
     for s, field, xs in cases:
-        got = encode_vector(np.array(xs), s, field)
+        got = encode_vector(np.array(xs), s, field)[0]
         assert got.dtype == np.uint64
         assert got.tolist() == encode_previous(xs, s, field).tolist()
     past = [

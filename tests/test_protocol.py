@@ -290,40 +290,52 @@ def test_verify_identifies_tampered_store():
         assert set(report.implicated[2]) == {(1, 2, 3), (1, 2, 4), (2, 3, 4)}
 
 
-def test_verify_identifies_lying_computation():
-    class LyingLink:
-        """Delegates to a real link but corrupts its PARTIAL answers."""
+class LyingLink:
+    """Delegates to a real link but flips one bit of each PARTIAL answer,
+    at `byte`: 8-15 hold the P share, 16-23 the Q share."""
 
-        def __init__(self, inner):
-            self.inner = inner
+    def __init__(self, inner, byte):
+        self.inner = inner
+        self.byte = byte
 
-        @property
-        def point(self):
-            return self.inner.point
+    @property
+    def point(self):
+        return self.inner.point
 
-        def submit(self, fn, deadline):
-            return self.inner.submit(fn, deadline)
+    def submit(self, fn, deadline):
+        return self.inner.submit(fn, deadline)
 
-        def request(self, ftype, payload):
-            rtype, rpayload = self.inner.request(ftype, payload)
-            if rtype == wire.MSG_PARTIAL:
-                rpayload = rpayload[:12] + bytes([rpayload[12] ^ 0x40]) + rpayload[13:]
-            return rtype, rpayload
+    def request(self, ftype, payload):
+        rtype, rpayload = self.inner.request(ftype, payload)
+        if rtype == wire.MSG_PARTIAL:
+            at = self.byte
+            rpayload = rpayload[:at] + bytes([rpayload[at] ^ 0x40]) + rpayload[at + 1 :]
+        return rtype, rpayload
 
-        def close(self):
-            self.inner.close()
+    def close(self):
+        self.inner.close()
 
+
+def assert_liar_named(byte):
     for mode in Centering:
         cfg = ProtocolConfig(scheme=SCHEME, threshold=0.5, mode=mode)
         cluster = make_cluster(cfg)
         base, near, _ = sample_pair(12)
         enroll(base, "cam", cfg, cluster.links, random.Random(1))
         links = list(cluster.links)
-        links[3] = LyingLink(links[3])
+        links[3] = LyingLink(links[3], byte)
         report = verify_residual(near, "cam", cfg, links, random.Random(2))
         assert not report.consistent
         assert report.suspects == (4,)
         assert set(report.implicated[4]) == {(1, 2, 4), (1, 3, 4), (2, 3, 4)}
+
+
+def test_verify_identifies_lying_computation():
+    assert_liar_named(12)
+
+
+def test_verify_identifies_lying_q_share():
+    assert_liar_named(20)
 
 
 def test_verify_needs_spare_servers():
@@ -482,12 +494,12 @@ def test_verify_single_quorum_of_responders_sees_nothing():
 
 
 def test_store_persistence(tmp_path):
-    store = ServerStore(2, str(tmp_path))
+    store = ServerStore(2, SCHEME.field, str(tmp_path))
     vec = ShareVector(2, [17, 0, 2**61 - 2], 1)
     store.put("cam-a", vec)
     store.put("cam-b", ShareVector(2, [5], 1))
     store.delete("cam-b")
-    reloaded = ServerStore(2, str(tmp_path))
+    reloaded = ServerStore(2, SCHEME.field, str(tmp_path))
     assert reloaded.get("cam-a") == vec
     assert reloaded.get("cam-b") is None
     assert reloaded.ids() == ["cam-a"]
@@ -495,7 +507,7 @@ def test_store_persistence(tmp_path):
 
 def test_store_skips_unreadable_files(tmp_path, caplog):
     good = ShareVector(2, [3, 1, 4], 1)
-    ServerStore(2, str(tmp_path)).put("cam-a", good)
+    ServerStore(2, SCHEME.field, str(tmp_path)).put("cam-a", good)
     truncated = "cam-b".encode("utf-8").hex() + ".share"
     (tmp_path / truncated).write_bytes(b"\x00\x01")
     (tmp_path / "not-hex.share").write_bytes(b"")
@@ -503,13 +515,38 @@ def test_store_skips_unreadable_files(tmp_path, caplog):
     # A readable share of another point, as ServerStore(3) writes it.
     other = "cam-c".encode("utf-8").hex() + ".share"
     (tmp_path / other).write_bytes(serialize_share_vector(ShareVector(3, [2, 7], 1)))
+    # A readable share of this point holding p, one past the field.
+    outside = "cam-d".encode("utf-8").hex() + ".share"
+    (tmp_path / outside).write_bytes(serialize_share_vector(ShareVector(2, [1, SCHEME.field.p], 1)))
     with caplog.at_level("WARNING", logger="sss_prnu.protocol"):
-        reloaded = ServerStore(2, str(tmp_path))
+        reloaded = ServerStore(2, SCHEME.field, str(tmp_path))
     assert reloaded.ids() == ["cam-a"]
     assert reloaded.get("cam-a") == good
     warned = " ".join(record.getMessage() for record in caplog.records)
-    for name in (truncated, "not-hex.share", "ff.share", other):
+    for name in (truncated, "not-hex.share", "ff.share", other, outside):
         assert name in warned
+
+
+def test_out_of_field_store_file_is_skipped_not_a_dimension_error(tmp_path):
+    # One value of server 2's file set to 2**63, then server 1 down: the
+    # file is skipped at load, so server 2 no longer knows the id.  It is
+    # not reported as a query that does not fit the enrolled share.
+    base, near, _ = sample_pair(33)
+    enroll(base, "cam", CFG, make_cluster(store_root=str(tmp_path)).links, random.Random(1))
+    [path] = (tmp_path / "server_2").iterdir()
+    vec = deserialize_share_vector(path.read_bytes())
+    values = vec.values.copy()
+    values[5] = 2**63
+    path.write_bytes(serialize_share_vector(ShareVector(vec.point, values, vec.degree_hint)))
+    cluster = make_cluster(store_root=str(tmp_path))
+    assert cluster.servers[2].store.ids() == []
+    cluster.set_down([1])
+    with pytest.raises(UnknownFingerprint) as info:
+        query_residual(near, "cam", CFG, cluster.links, random.Random(2))
+    assert info.value.points == (2,)
+    cluster.set_down([])
+    res = query_residual(near, "cam", CFG, cluster.links, random.Random(3))
+    assert res.r == oracle_correlation(base, near, CFG.scaling, CFG.mode)[0]
 
 
 def _server_partial(link, fid, vec, cfg):
@@ -528,7 +565,7 @@ def test_cached_own_sums_follow_the_store(mode, tmp_path):
     cluster = make_cluster(cfg, store_root=str(tmp_path))
     server, link = cluster.servers[2], cluster.links[1]
     base, near, far = sample_pair(29)
-    qvec = prepare_vector(near, cfg.scaling, SCHEME, mode, random.Random(3))[1]
+    qvec = prepare_vector(near, cfg.scaling, SCHEME, mode, random.Random(3))[0][1]
 
     def assert_fresh():
         fresh = compute_partials(server.store.get("cam"), qvec, SCHEME, mode)
@@ -544,8 +581,8 @@ def test_cached_own_sums_follow_the_store(mode, tmp_path):
     # Another store object rewrites the file; the server reloads it.
     directory = server.store.directory
     flip = flip_one_element(random.Random(8), SCHEME.field.p)
-    ServerStore(2, directory).put("cam", flip(server.store.get("cam")))
-    server.store = ServerStore(2, directory)
+    ServerStore(2, SCHEME.field, directory).put("cam", flip(server.store.get("cam")))
+    server.store = ServerStore(2, SCHEME.field, directory)
     assert_fresh()
     tombstone = ShareVector(2, [], SCHEME.fresh_degree)
     rtype, _ = link.request(
@@ -562,10 +599,10 @@ def test_cached_own_sums_under_racing_enrolls():
     cfg = CFG
     server = CloudServer(1, cfg)
     shares = [
-        prepare_vector(m, cfg.scaling, SCHEME, cfg.mode, random.Random(i))[0]
+        prepare_vector(m, cfg.scaling, SCHEME, cfg.mode, random.Random(i))[0][0]
         for i, m in enumerate(sample_pair(32)[::2])
     ]
-    qvec = prepare_vector(sample_pair(32)[1], cfg.scaling, SCHEME, cfg.mode, random.Random(9))[0]
+    qvec = prepare_vector(sample_pair(32)[1], cfg.scaling, SCHEME, cfg.mode, random.Random(9))[0][0]
     allowed = {compute_partials(v, qvec, SCHEME, cfg.mode) for v in shares}
     enrolls = [wire.pack_identified("cam", serialize_share_vector(v)) for v in shares]
     query = wire.pack_identified("cam", serialize_share_vector(qvec))
@@ -600,25 +637,36 @@ def test_cached_own_sums_under_racing_enrolls():
 
 
 def test_enroll_computes_no_dot_products(monkeypatch):
-    dots = []
-    real_dot = np.dot
+    # Dots are counted apart on the client and inside a server's handler.
+    dots = {"client": 0, "server": 0}
+    serving = []
+    real_dot, real_handle = np.dot, CloudServer.safe_handle
 
     def counting_dot(*args, **kwargs):
-        dots.append(1)
+        dots["server" if serving else "client"] += 1
         return real_dot(*args, **kwargs)
 
+    def counting_handle(self, ftype, payload):
+        serving.append(1)
+        try:
+            return real_handle(self, ftype, payload)
+        finally:
+            serving.pop()
+
     monkeypatch.setattr(np, "dot", counting_dot)
+    monkeypatch.setattr(CloudServer, "safe_handle", counting_handle)
     cluster = make_cluster()
     base, near, _ = sample_pair(30)
     enroll(base, "cam", CFG, cluster.links, random.Random(1))
-    assert dots == []
+    # The only one is the fingerprint's own square sum, in `encode_vector`.
+    assert dots == {"client": 1, "server": 0}
     # Every server answers inline.  The first query fills each server's
-    # cache (6 dots for the stored square beside the query's 15); later
-    # ones reuse it.
+    # cache (6 dots for the stored square beside the cross sum's 9); later
+    # ones reuse it.  The querier sums its own square in one dot.
     query_residual(near, "cam", CFG, cluster.links, random.Random(2))
-    assert len(dots) == SCHEME.n * 21
+    assert dots == {"client": 2, "server": SCHEME.n * 15}
     query_residual(near, "cam", CFG, cluster.links, random.Random(3))
-    assert len(dots) == SCHEME.n * (21 + 15)
+    assert dots == {"client": 3, "server": SCHEME.n * (15 + 9)}
 
 
 def test_each_share_is_split_into_limbs_once_per_query(monkeypatch):
@@ -637,7 +685,8 @@ def test_each_share_is_split_into_limbs_once_per_query(monkeypatch):
     query_residual(near, "cam", CFG, cluster.links, random.Random(3))
     assert len(splits) == 4 * SCHEME.n
     # The audit's replay has no cache at all, and splits each share once.
-    stored, sent = cluster.servers[1].store.get("cam"), prepare_vector(near, CFG.scaling, SCHEME)
+    stored = cluster.servers[1].store.get("cam")
+    sent, _ = prepare_vector(near, CFG.scaling, SCHEME)
     compute_partials(stored, sent[0], SCHEME, CFG.mode)
     assert len(splits) == 4 * SCHEME.n + 2
 
