@@ -14,7 +14,10 @@ sharing scheme allows), and sums locally (`PrimeField.sum_products`);
 the stored share's Q share does not depend on the query, so a server
 caches it.  The per-server partial sums are shares of P and Q at the
 doubled degree, so a quorum of 2l-1 partials reconstructs the exact
-integer sums.  Only the final division and square root happen in
+integer sums.  The types allow no second multiplication:
+`compute_partials` takes two fresh `ShareVector`s and returns a
+`PartialCorrelation` of two scalars, and nothing turns a partial back
+into a share vector.  Only the final division and square root happen in
 plaintext, on the reconstructing side.
 
 Centering happens in one of two places.  With plaintext centering the
@@ -44,11 +47,11 @@ import numpy as np
 from .fixedpoint import Centering, Scaling, capacity_check, encode_vector
 from .prnu import DegenerateInput
 from .sharing import (
-    DegreeMismatch,
     InsufficientShares,
+    LengthMismatch,
+    PointMismatch,
     ShareScheme,
     ShareVector,
-    check_product_operands,
     lagrange_weights,
     share_vector,
 )
@@ -69,7 +72,6 @@ class PartialCorrelation:
     point: int
     p_share: int
     q_share: int
-    degree_hint: int
 
 
 @dataclass(frozen=True)
@@ -131,14 +133,18 @@ def compute_partials(
 ) -> PartialCorrelation:
     """One server's local work: the sums of elementwise share products.
 
-    Runs on one server's pair of shares alone.  `q` is a's Q share from
-    an earlier partial, which a server caches; without it, Q is summed
-    from the same limb split of a as P.  Under encrypted centering the
-    moment identity N*sum(ab) - sum(a)*sum(b) equals
-    N * sum((a - mean a)(b - mean b)); the share sums are fresh-degree, so
-    each term is still one share multiplication, of the doubled degree.
+    Runs on one server's pair of shares alone, which must be at the same
+    point and of the same length.  `q` is a's Q share from an earlier
+    partial, which a server caches; without it, Q is summed from the same
+    limb split of a as P.  Under encrypted centering the moment identity
+    N*sum(ab) - sum(a)*sum(b) equals N * sum((a - mean a)(b - mean b));
+    the share sums are fresh-degree, so each term is still one share
+    multiplication, of the doubled degree.
     """
-    check_product_operands(a, b, scheme)
+    if a.point != b.point:
+        raise PointMismatch(f"points {a.point} and {b.point} differ")
+    if len(a) != len(b):
+        raise LengthMismatch(f"lengths {len(a)} and {len(b)} differ")
     f = scheme.field
     encrypted = mode is Centering.ENCRYPTED
     sa, sb = (f.sum_vec(a.values), f.sum_vec(b.values)) if encrypted else (0, 0)
@@ -151,12 +157,7 @@ def compute_partials(
         q = center(aa, sa, sa)
     else:
         (ab,) = f.sum_products([a.values, b.values], [(0, 1)])
-    return PartialCorrelation(
-        point=a.point,
-        p_share=center(ab, sa, sb),
-        q_share=q,
-        degree_hint=scheme.product_degree,
-    )
+    return PartialCorrelation(point=a.point, p_share=center(ab, sa, sb), q_share=q)
 
 
 def reconstruct_sum_ints(
@@ -170,8 +171,6 @@ def reconstruct_sum_ints(
     P and Q are interpolated at zero with the Lagrange weights of the
     partials' points, in Python ints.
     """
-    if any(pc.degree_hint != scheme.product_degree for pc in parts):
-        raise DegreeMismatch("partials must carry the doubled degree")
     if len(parts) < scheme.quorum:
         raise InsufficientShares(len(parts), scheme.quorum)
     f = scheme.field
@@ -235,13 +234,7 @@ def serialize_partial(pc: PartialCorrelation) -> bytes:
     return _PARTIAL_WIRE.pack(pc.point, pc.p_share, pc.q_share)
 
 
-def deserialize_partial(raw: bytes, scheme: ShareScheme) -> PartialCorrelation:
+def deserialize_partial(raw: bytes) -> PartialCorrelation:
     if len(raw) != _PARTIAL_WIRE.size:
         raise ValueError(f"partial correlation must be {_PARTIAL_WIRE.size} bytes")
-    point, p_share, q_share = _PARTIAL_WIRE.unpack(raw)
-    return PartialCorrelation(
-        point=point,
-        p_share=p_share,
-        q_share=q_share,
-        degree_hint=scheme.product_degree,
-    )
+    return PartialCorrelation(*_PARTIAL_WIRE.unpack(raw))

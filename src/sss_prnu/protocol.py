@@ -32,6 +32,7 @@ hung server costs each query at most one wait and never a thread.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import os
 import random
@@ -194,14 +195,22 @@ class ServerStore:
         return vec
 
     def put(self, fid: str, vec: ShareVector) -> None:
+        """Store `vec` under `fid`, on disk first: if the write fails, the
+        store keeps the old share in memory and on disk, and no temporary
+        file is left behind."""
         self._check_point(vec)
         with self._lock:
-            self._vectors[fid] = vec
             if self.directory is not None:
                 tmp = self._path(fid) + ".tmp"
-                with open(tmp, "wb") as fh:
-                    fh.write(serialize_share_vector(vec))
-                os.replace(tmp, self._path(fid))
+                try:
+                    with open(tmp, "wb") as fh:
+                        fh.write(serialize_share_vector(vec))
+                    os.replace(tmp, self._path(fid))
+                except BaseException:
+                    with contextlib.suppress(OSError):
+                        os.remove(tmp)
+                    raise
+            self._vectors[fid] = vec
 
     def get(self, fid: str) -> Optional[ShareVector]:
         with self._lock:
@@ -265,8 +274,6 @@ class CloudServer:
             # Zero-length vector is the delete marker used for rollback.
             self.store.delete(fid)
             return wire.MSG_ENROLL_ACK, b""
-        if vec.degree_hint != self.cfg.scheme.fresh_degree:
-            raise wire.FrameError("enrollment shares must be fresh-degree")
         self._check_vector(vec)
         self.store.put(fid, vec)
         return wire.MSG_ENROLL_ACK, b""
@@ -352,7 +359,8 @@ class TcpLink:
     starts on first use and runs them one at a time, in order.  `request`
     may also be called directly; a lock keeps the two from interleaving
     frames on the socket.  `close()` ends the worker: requests still
-    queued are cancelled and the one in flight fails at once.
+    queued are cancelled, the one in flight fails at once, and each one
+    submitted later fails as this server's TransportError.
     """
 
     def __init__(
@@ -372,8 +380,14 @@ class TcpLink:
         self._worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix=f"TcpLink-{point}")
 
     def submit(self, fn: Callable[[], _T], deadline: float) -> Future:
-        """Queue `fn` behind this link's earlier requests."""
-        return self._worker.submit(_run_by, deadline, self.point, fn)
+        """Queue `fn` behind this link's earlier requests.  After `close()`
+        the returned Future has already failed with TransportError."""
+        try:
+            return self._worker.submit(_run_by, deadline, self.point, fn)
+        except RuntimeError:  # the worker was shut down by close()
+            fut: Future = Future()
+            fut.set_exception(TransportError(f"server {self.point}: link closed"))
+            return fut
 
     def _connect(self) -> None:
         sock = socket.create_connection(self.address, timeout=self.timeout)
@@ -433,7 +447,7 @@ def flip_one_element(rng: random.Random, p: int) -> Callable[[ShareVector], Shar
     def rule(vec: ShareVector) -> ShareVector:
         values = vec.values.copy()
         values[rng.randrange(len(values))] = rng.randrange(p)
-        return ShareVector(vec.point, values, vec.degree_hint)
+        return ShareVector(vec.point, values)
 
     return rule
 
@@ -593,18 +607,18 @@ def enroll(
     records = _gather(links, _enroll_requests(links, fid, vectors), cfg)
     failed = [(link, result) for link, result in records if isinstance(result, Exception)]
     if failed:
-        markers = [ShareVector(link.point, [], cfg.scheme.fresh_degree) for link in links]
+        markers = [ShareVector(link.point, []) for link in links]
         # Best effort; the id was never fully enrolled.
         _gather(links, _enroll_requests(links, fid, markers), cfg)
         raise EnrollTimeout(failed)
     return tuple(link.point for link in links)
 
 
-def _send_query(link, fid: str, vec: ShareVector, cfg: ProtocolConfig) -> PartialCorrelation:
+def _send_query(link, fid: str, vec: ShareVector) -> PartialCorrelation:
     payload = wire.pack_identified(fid, serialize_share_vector(vec))
     rpayload = _expect(link, wire.MSG_PARTIAL, link.request(wire.MSG_QUERY, payload))
     try:
-        pc = deserialize_partial(rpayload, cfg.scheme)
+        pc = deserialize_partial(rpayload)
     except ValueError as exc:
         raise TransportError(f"server {link.point}: {exc}") from exc
     if pc.point != vec.point:
@@ -645,7 +659,7 @@ def _query_servers(
     flat = np.asarray(residual, dtype=np.float64).ravel()
     _check_request(links, cfg, fid, flat.size)
     vectors, r_int = prepare_vector(flat, cfg.scaling, cfg.scheme, cfg.mode, rng)
-    requests = [partial(_send_query, link, fid, vec, cfg) for link, vec in zip(links, vectors)]
+    requests = [partial(_send_query, link, fid, vec) for link, vec in zip(links, vectors)]
     records = _gather(links, requests, cfg, stop_at)
     parts = [result for _, result in records if isinstance(result, PartialCorrelation)]
     if len(parts) < cfg.quorum:

@@ -14,9 +14,10 @@ The library itself performs no arithmetic on shares.  The one product
 happens inside `correlation.compute_partials`: multiplying two share
 vectors elementwise yields shares of the product secret, but doubles
 the polynomial degree to 2l-2, so the scheme supports exactly one
-multiplication and afterwards needs 2l-1 points to reconstruct.
-`check_product_operands` guards that product, and `degree_hint`
-travels with every share so that both limits are enforced locally.
+multiplication and afterwards needs 2l-1 points to reconstruct.  The
+types allow no second product: `compute_partials` returns a
+`PartialCorrelation` of two scalars, which no code turns back into a
+share vector.
 """
 
 from __future__ import annotations
@@ -50,16 +51,8 @@ class PointMismatch(SharingError):
     """Elementwise operation across different evaluation points."""
 
 
-class DegreeMismatch(SharingError):
-    """Shares reconstructed together carry different degree hints."""
-
-
 class LengthMismatch(SharingError):
     """Elementwise operation across vectors of different lengths."""
-
-
-class DegreeOverflow(SharingError):
-    """A second multiplication would make shares unreconstructible."""
 
 
 # Module-level entropy source for unseeded share generation.
@@ -82,8 +75,6 @@ class ShareScheme:
     def __post_init__(self) -> None:
         if self.l < 2:
             raise ValueError("threshold l must be at least 2")
-        if self.l > 128:
-            raise ValueError("threshold l above 128 does not fit the wire format")
         if self.n < 2 * self.l - 1:
             raise ValueError(
                 f"n={self.n} cannot support one multiplication; need n >= {2 * self.l - 1}"
@@ -97,14 +88,6 @@ class ShareScheme:
         return tuple(range(1, self.n + 1))
 
     @property
-    def fresh_degree(self) -> int:
-        return self.l - 1
-
-    @property
-    def product_degree(self) -> int:
-        return 2 * self.l - 2
-
-    @property
     def quorum(self) -> int:
         """Shares needed to reconstruct after the one multiplication."""
         return 2 * self.l - 1
@@ -112,7 +95,7 @@ class ShareScheme:
 
 @dataclass(eq=False)
 class ShareVector:
-    """One server's share of a whole flattened matrix.
+    """One server's share of a whole flattened matrix, at degree l-1.
 
     `values` is a one-dimensional `uint64` ndarray of residues; any
     sequence of ints passed in is converted to one.
@@ -120,7 +103,6 @@ class ShareVector:
 
     point: int
     values: np.ndarray
-    degree_hint: int
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=ELEMENT_DTYPE)
@@ -131,11 +113,7 @@ class ShareVector:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ShareVector):
             return NotImplemented
-        return (
-            self.point == other.point
-            and self.degree_hint == other.degree_hint
-            and np.array_equal(self.values, other.values)
-        )
+        return self.point == other.point and np.array_equal(self.values, other.values)
 
 
 def share_vector(
@@ -179,7 +157,7 @@ def share_vector(
                 np.subtract(out, pv, out=t)
                 np.minimum(out, t, out=out)
             g = row
-    return [ShareVector(u, v, scheme.fresh_degree) for u, v in zip(scheme.evaluation_points, rows)]
+    return [ShareVector(u, v) for u, v in zip(scheme.evaluation_points, rows)]
 
 
 def lagrange_weights(
@@ -220,45 +198,21 @@ def reconstruct_vector(
 ) -> list[int]:
     """Elementwise reconstruction across one ShareVector per server.
 
-    The one guarded path back from shares: every vector must carry the
-    same degree hint and length, at distinct points, and there must be
-    at least degree_hint + 1 of them.
+    The one guarded path back from shares: every vector must have the
+    same length, at distinct points, and there must be at least l of them.
     """
-    if not vectors:
-        raise InsufficientShares(0, 1)
-    degree = vectors[0].degree_hint
-    if any(v.degree_hint != degree for v in vectors):
-        raise DegreeMismatch("vectors carry mixed degree hints")
+    if len(vectors) < scheme.l:
+        raise InsufficientShares(len(vectors), scheme.l)
     length = len(vectors[0])
     if any(len(v) != length for v in vectors):
         raise LengthMismatch("vectors have different lengths")
     points = [v.point for v in vectors]
     if len(set(points)) != len(points):
         raise DuplicatePoint("duplicate evaluation points")
-    if len(vectors) < degree + 1:
-        raise InsufficientShares(len(vectors), degree + 1)
     return interpolate_vector(points, [v.values for v in vectors], 0, scheme.field).tolist()
 
 
-def check_product_operands(a: ShareVector, b: ShareVector, scheme: ShareScheme) -> None:
-    """Guards for the one allowed multiplication of a by b.
-
-    Both must be fresh (degree l-1) shares at the same point and of the
-    same length; anything else would push the degree past what n points
-    can interpolate, or pair unrelated elements.
-    """
-    if a.point != b.point:
-        raise PointMismatch(f"points {a.point} and {b.point} differ")
-    if len(a) != len(b):
-        raise LengthMismatch(f"lengths {len(a)} and {len(b)} differ")
-    fresh = scheme.fresh_degree
-    if a.degree_hint != fresh or b.degree_hint != fresh:
-        raise DegreeOverflow(
-            "shares already carry a product; only one multiplication is supported"
-        )
-
-
-_VEC_HEADER = struct.Struct(">QBI")
+_VEC_HEADER = struct.Struct(">QI")
 
 
 def serialized_size(count: int) -> int:
@@ -267,19 +221,19 @@ def serialized_size(count: int) -> int:
 
 
 def serialize_share_vector(v: ShareVector) -> bytes:
-    """point(8B) | degree_hint(1B) | count(4B) | elements(8B each), big-endian."""
-    header = _VEC_HEADER.pack(v.point, v.degree_hint, len(v))
+    """point(8B) | count(4B) | elements(8B each), big-endian."""
+    header = _VEC_HEADER.pack(v.point, len(v))
     return header + v.values.astype(WIRE_DTYPE).tobytes()
 
 
 def deserialize_share_vector(raw: bytes) -> ShareVector:
     if len(raw) < _VEC_HEADER.size:
         raise ValueError("share vector header truncated")
-    point, degree_hint, count = _VEC_HEADER.unpack_from(raw)
+    point, count = _VEC_HEADER.unpack_from(raw)
     body = len(raw) - _VEC_HEADER.size
     if body != count * ELEMENT_BYTES:
         raise ValueError(
             f"share vector body has {body} bytes, expected {count * ELEMENT_BYTES}"
         )
     values = np.frombuffer(raw, dtype=WIRE_DTYPE, offset=_VEC_HEADER.size)
-    return ShareVector(point, values.astype(ELEMENT_DTYPE), degree_hint)
+    return ShareVector(point, values.astype(ELEMENT_DTYPE))

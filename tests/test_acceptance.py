@@ -132,7 +132,6 @@ def test_criterion_4_product_needs_quorum_and_is_exact():
         ShareVector(
             x.point,
             [f.mul(u, v) for u, v in zip(x.values.tolist(), y.values.tolist())],
-            SCHEME.product_degree,
         )
         for x, y in zip(sa, sb)
     ]

@@ -258,7 +258,7 @@ def test_verify_flags_tampered_store(dataset, tmp_path, capsys):
     vec = s2.get("cam00")
     values = list(vec.values)
     values[17] = (values[17] + 1) % (2**61 - 1)
-    s2.put("cam00", type(vec)(vec.point, values, vec.degree_hint))
+    s2.put("cam00", type(vec)(vec.point, values))
 
     code, out, err = run_cli(
         ["verify", "--image", dataset["same_query"], "--id", "cam00",

@@ -1,6 +1,8 @@
+import os
 import random
 import socket
 import socketserver
+import struct
 import sys
 import threading
 import time
@@ -449,11 +451,11 @@ def test_oversized_share_frame_is_refused_before_sending(transport, request, mon
     sent = []
     for link in links:
         link.observer = lambda point, direction, frame: sent.append(point)
-    # An 8x8 share vector under a 3-byte id makes a 531-byte frame.
+    # An 8x8 share vector under a 3-byte id makes a 530-byte frame.
     monkeypatch.setattr(wire, "MAX_FRAME", 200)
-    with pytest.raises(wire.FrameError, match="frame of 531 bytes exceeds the 200-byte limit"):
+    with pytest.raises(wire.FrameError, match="frame of 530 bytes exceeds the 200-byte limit"):
         enroll(base, "new", CFG, links, random.Random(2))
-    with pytest.raises(wire.FrameError, match="frame of 531 bytes exceeds the 200-byte limit"):
+    with pytest.raises(wire.FrameError, match="frame of 530 bytes exceeds the 200-byte limit"):
         query_residual(near, "cam", CFG, links, random.Random(3))
     assert sent == []
     monkeypatch.undo()
@@ -470,7 +472,7 @@ def test_servers_refuse_noncanonical_share_values():
     link, store = cluster.links[0], cluster.servers[1].store
     before = store.get("cam")
     # 64 elements, the enrolled length, with the last one equal to p.
-    bad = ShareVector(1, [0] * 63 + [SCHEME.field.p], SCHEME.fresh_degree)
+    bad = ShareVector(1, [0] * 63 + [SCHEME.field.p])
     for ftype, fid in ((wire.MSG_ENROLL, "cam"), (wire.MSG_ENROLL, "new"), (wire.MSG_QUERY, "cam")):
         rtype, rpayload = link.request(ftype, wire.pack_identified(fid, serialize_share_vector(bad)))
         assert rtype == wire.MSG_ERROR
@@ -495,9 +497,9 @@ def test_verify_single_quorum_of_responders_sees_nothing():
 
 def test_store_persistence(tmp_path):
     store = ServerStore(2, SCHEME.field, str(tmp_path))
-    vec = ShareVector(2, [17, 0, 2**61 - 2], 1)
+    vec = ShareVector(2, [17, 0, 2**61 - 2])
     store.put("cam-a", vec)
-    store.put("cam-b", ShareVector(2, [5], 1))
+    store.put("cam-b", ShareVector(2, [5]))
     store.delete("cam-b")
     reloaded = ServerStore(2, SCHEME.field, str(tmp_path))
     assert reloaded.get("cam-a") == vec
@@ -506,7 +508,7 @@ def test_store_persistence(tmp_path):
 
 
 def test_store_skips_unreadable_files(tmp_path, caplog):
-    good = ShareVector(2, [3, 1, 4], 1)
+    good = ShareVector(2, [3, 1, 4])
     ServerStore(2, SCHEME.field, str(tmp_path)).put("cam-a", good)
     truncated = "cam-b".encode("utf-8").hex() + ".share"
     (tmp_path / truncated).write_bytes(b"\x00\x01")
@@ -514,17 +516,38 @@ def test_store_skips_unreadable_files(tmp_path, caplog):
     (tmp_path / ("ff" + ".share")).write_bytes(b"")  # hex, but not utf-8
     # A readable share of another point, as ServerStore(3) writes it.
     other = "cam-c".encode("utf-8").hex() + ".share"
-    (tmp_path / other).write_bytes(serialize_share_vector(ShareVector(3, [2, 7], 1)))
+    (tmp_path / other).write_bytes(serialize_share_vector(ShareVector(3, [2, 7])))
     # A readable share of this point holding p, one past the field.
     outside = "cam-d".encode("utf-8").hex() + ".share"
-    (tmp_path / outside).write_bytes(serialize_share_vector(ShareVector(2, [1, SCHEME.field.p], 1)))
+    (tmp_path / outside).write_bytes(serialize_share_vector(ShareVector(2, [1, SCHEME.field.p])))
+    # A share of this point in the older layout, with a degree byte after the
+    # point: its body of 8 * count + 1 bytes never fits the header's count.
+    old_layout = "cam-e".encode("utf-8").hex() + ".share"
+    (tmp_path / old_layout).write_bytes(struct.pack(">QBI3Q", 2, 1, 3, 5, 6, 7))
     with caplog.at_level("WARNING", logger="sss_prnu.protocol"):
         reloaded = ServerStore(2, SCHEME.field, str(tmp_path))
     assert reloaded.ids() == ["cam-a"]
     assert reloaded.get("cam-a") == good
     warned = " ".join(record.getMessage() for record in caplog.records)
-    for name in (truncated, "not-hex.share", "ff.share", other, outside):
+    for name in (truncated, "not-hex.share", "ff.share", other, outside, old_layout):
         assert name in warned
+
+
+def test_failed_store_write_keeps_the_old_share(tmp_path, monkeypatch):
+    store = ServerStore(2, SCHEME.field, str(tmp_path))
+    old = ShareVector(2, [3, 1, 4])
+    store.put("cam", old)
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="disk full"):
+        store.put("cam", ShareVector(2, [2, 7, 1]))
+    monkeypatch.undo()
+    assert store.get("cam") == old
+    assert [path.name for path in tmp_path.iterdir()] == ["63616d.share"]
+    assert ServerStore(2, SCHEME.field, str(tmp_path)).get("cam") == old
 
 
 def test_out_of_field_store_file_is_skipped_not_a_dimension_error(tmp_path):
@@ -537,7 +560,7 @@ def test_out_of_field_store_file_is_skipped_not_a_dimension_error(tmp_path):
     vec = deserialize_share_vector(path.read_bytes())
     values = vec.values.copy()
     values[5] = 2**63
-    path.write_bytes(serialize_share_vector(ShareVector(vec.point, values, vec.degree_hint)))
+    path.write_bytes(serialize_share_vector(ShareVector(vec.point, values)))
     cluster = make_cluster(store_root=str(tmp_path))
     assert cluster.servers[2].store.ids() == []
     cluster.set_down([1])
@@ -549,14 +572,14 @@ def test_out_of_field_store_file_is_skipped_not_a_dimension_error(tmp_path):
     assert res.r == oracle_correlation(base, near, CFG.scaling, CFG.mode)[0]
 
 
-def _server_partial(link, fid, vec, cfg):
+def _server_partial(link, fid, vec):
     """One QUERY straight to a server: its partial, or its error code."""
     rtype, rpayload = link.request(
         wire.MSG_QUERY, wire.pack_identified(fid, serialize_share_vector(vec))
     )
     if rtype == wire.MSG_ERROR:
         return wire.unpack_error(rpayload)[0]
-    return deserialize_partial(rpayload, cfg.scheme)
+    return deserialize_partial(rpayload)
 
 
 @pytest.mark.parametrize("mode", list(Centering))
@@ -569,7 +592,7 @@ def test_cached_own_sums_follow_the_store(mode, tmp_path):
 
     def assert_fresh():
         fresh = compute_partials(server.store.get("cam"), qvec, SCHEME, mode)
-        assert _server_partial(link, "cam", qvec, cfg) == fresh
+        assert _server_partial(link, "cam", qvec) == fresh
 
     enroll(base, "cam", cfg, cluster.links, random.Random(1))
     assert_fresh()
@@ -584,13 +607,13 @@ def test_cached_own_sums_follow_the_store(mode, tmp_path):
     ServerStore(2, SCHEME.field, directory).put("cam", flip(server.store.get("cam")))
     server.store = ServerStore(2, SCHEME.field, directory)
     assert_fresh()
-    tombstone = ShareVector(2, [], SCHEME.fresh_degree)
+    tombstone = ShareVector(2, [])
     rtype, _ = link.request(
         wire.MSG_ENROLL, wire.pack_identified("cam", serialize_share_vector(tombstone))
     )
     assert rtype == wire.MSG_ENROLL_ACK
     assert "cam" not in server._own  # no reference to the deleted share
-    assert _server_partial(link, "cam", qvec, cfg) == wire.ERR_UNKNOWN_ID
+    assert _server_partial(link, "cam", qvec) == wire.ERR_UNKNOWN_ID
 
 
 def test_cached_own_sums_under_racing_enrolls():
@@ -613,7 +636,7 @@ def test_cached_own_sums_under_racing_enrolls():
     def reader():
         while not stop.is_set():
             rtype, rpayload = server.handle(wire.MSG_QUERY, query)
-            seen.append(rtype == wire.MSG_PARTIAL and deserialize_partial(rpayload, SCHEME) in allowed)
+            seen.append(rtype == wire.MSG_PARTIAL and deserialize_partial(rpayload) in allowed)
 
     def writer():
         for i in range(400):
@@ -771,6 +794,20 @@ def test_tcp_end_to_end(tcp_cluster):
     assert res.semantic_key() == ref.semantic_key()
 
 
+def test_tcp_closed_link_counts_as_a_dead_server(tcp_cluster):
+    base, near, _ = sample_pair(18)
+    enroll(base, "cam", CFG, tcp_cluster, random.Random(1))
+    tcp_cluster[3].close()
+    res = query_residual(near, "cam", CFG, tcp_cluster, random.Random(2))
+    assert sorted(res.server_subset) == [1, 2, 3]
+    tcp_cluster[2].close()
+    with pytest.raises(QuorumNotReached) as exc:
+        query_residual(near, "cam", CFG, tcp_cluster, random.Random(3))
+    assert (exc.value.responded, exc.value.required) == (2, 3)
+    for u in (3, 4):
+        assert f"server {u}: link closed" in str(exc.value)
+
+
 def test_tcp_server_reports_errors_and_stays_usable(tcp_cluster):
     link = tcp_cluster[0]
     # Garbage payload on a known type.
@@ -789,7 +826,7 @@ def test_tcp_server_reports_errors_and_stays_usable(tcp_cluster):
 
 def test_tcp_share_routing_rejected(tcp_cluster):
     # A share labeled for point 2 must be refused by server 1.
-    vec = ShareVector(2, [1, 2, 3], 1)
+    vec = ShareVector(2, [1, 2, 3])
     payload = wire.pack_identified("cam", serialize_share_vector(vec))
     rtype, rpayload = tcp_cluster[0].request(wire.MSG_ENROLL, payload)
     code, _ = wire.unpack_error(rpayload)

@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 
 from sss_prnu import (
-    DegreeMismatch,
-    DegreeOverflow,
     DuplicatePoint,
     InsufficientShares,
     LengthMismatch,
@@ -19,7 +17,6 @@ from sss_prnu import (
     share_vector,
 )
 from sss_prnu.field import CHUNK
-from sss_prnu.sharing import check_product_operands
 
 F17 = PrimeField(17)
 SMALL = ShareScheme(l=2, n=4, field=F17)
@@ -36,7 +33,6 @@ def test_hand_worked_shares():
     # G(u) = 5 + 3u over Z_17 evaluated at 1..4.
     vectors = share_vector([5], SMALL, ThreesRng())
     assert [(v.point, int(v.values[0])) for v in vectors] == [(1, 8), (2, 11), (3, 14), (4, 0)]
-    assert all(v.degree_hint == 1 for v in vectors)
 
 
 def test_reconstruct_from_every_l_subset():
@@ -69,7 +65,7 @@ def test_l2_shares_are_secret_plus_u_times_the_draw():
     draws = scheme.field.random_vector(random.Random(9), len(secrets)).tolist()
     vectors = share_vector(np.array(secrets, dtype=np.uint64), scheme, random.Random(9))
     for u, vec in zip((1, 2, 3, 4), vectors):
-        assert vec.point == u and vec.degree_hint == 1
+        assert vec.point == u
         assert vec.values.tolist() == [(s + u * c) % p for s, c in zip(secrets, draws)]
 
 
@@ -121,9 +117,6 @@ def test_insufficient_and_duplicate_guards():
         reconstruct_vector([vectors[0], vectors[0]], SMALL)
     with pytest.raises(InsufficientShares):
         reconstruct_vector([], SMALL)
-    mixed = [vectors[0], ShareVector(vectors[1].point, vectors[1].values, 2)]
-    with pytest.raises(DegreeMismatch):
-        reconstruct_vector(mixed, SMALL)
 
 
 def test_vector_roundtrip_and_guards():
@@ -134,7 +127,7 @@ def test_vector_roundtrip_and_guards():
     assert reconstruct_vector(vectors, SMALL) == secrets
     with pytest.raises(InsufficientShares):
         reconstruct_vector(vectors[:1], SMALL)
-    short = ShareVector(vectors[1].point, vectors[1].values[:-1], vectors[1].degree_hint)
+    short = ShareVector(vectors[1].point, vectors[1].values[:-1])
     with pytest.raises(LengthMismatch):
         reconstruct_vector([vectors[0], short], SMALL)
 
@@ -148,24 +141,13 @@ def test_single_multiplication():
     vx = share_vector(xs, SMALL, rng)
     vy = share_vector(ys, SMALL, rng)
     prod = [
-        ShareVector(a.point, a.values * b.values % 17, SMALL.product_degree)
+        ShareVector(a.point, a.values * b.values % 17)
         for a, b in zip(vx, vy)
     ]
     expected = [a * b % 17 for a, b in zip(xs, ys)]
     # Quorum reconstructs the products; a fresh-size subset cannot.
     assert reconstruct_vector(prod[:3], SMALL) == expected
-    with pytest.raises(InsufficientShares):
-        reconstruct_vector(prod[:2], SMALL)
-
-
-def test_second_multiplication_rejected():
-    rng = random.Random(6)
-    vx = share_vector([3, 5], SMALL, rng)
-    prod = ShareVector(vx[0].point, vx[0].values, SMALL.product_degree)
-    check_product_operands(vx[0], vx[0], SMALL)
-    for a, b in ((prod, vx[0]), (vx[0], prod), (prod, prod)):
-        with pytest.raises(DegreeOverflow):
-            check_product_operands(a, b, SMALL)
+    assert reconstruct_vector(prod[:2], SMALL) != expected
 
 
 def test_fresh_randomness_differs():
@@ -184,14 +166,13 @@ def test_seeded_share_vector_is_reproducible_byte_for_byte():
 
 
 def test_serialization_layout():
-    vec = ShareVector(3, [0, 1, 2**61 - 2], 1)
+    vec = ShareVector(3, [0, 1, 2**61 - 2])
     raw = serialize_share_vector(vec)
-    # point (8B) | degree_hint (1B) | count (4B) | 3 elements (8B each)
-    assert len(raw) == 8 + 1 + 4 + 3 * 8
+    # point (8B) | count (4B) | 3 elements (8B each)
+    assert len(raw) == 8 + 4 + 3 * 8
     assert raw[:8] == (3).to_bytes(8, "big")
-    assert raw[8] == 1
-    assert raw[9:13] == (3).to_bytes(4, "big")
-    assert raw[13:21] == (0).to_bytes(8, "big")
+    assert raw[8:12] == (3).to_bytes(4, "big")
+    assert raw[12:20] == (0).to_bytes(8, "big")
     assert deserialize_share_vector(raw) == vec
 
 
@@ -204,7 +185,7 @@ def test_serialization_roundtrip_random():
 
 
 def test_deserialize_rejects_truncation():
-    vec = ShareVector(1, [5, 6], 1)
+    vec = ShareVector(1, [5, 6])
     raw = serialize_share_vector(vec)
     with pytest.raises(ValueError):
         deserialize_share_vector(raw[:-3])
