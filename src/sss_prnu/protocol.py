@@ -217,10 +217,12 @@ class ServerStore:
             return self._vectors.get(fid)
 
     def delete(self, fid: str) -> None:
+        """Drop `fid`, on disk first: if the file cannot be removed, the
+        store keeps serving the share, as a reloaded store would."""
         with self._lock:
-            self._vectors.pop(fid, None)
             if self.directory is not None and os.path.exists(self._path(fid)):
                 os.remove(self._path(fid))
+            self._vectors.pop(fid, None)
 
     def ids(self) -> list[str]:
         with self._lock:
@@ -360,7 +362,8 @@ class TcpLink:
     may also be called directly; a lock keeps the two from interleaving
     frames on the socket.  `close()` ends the worker: requests still
     queued are cancelled, the one in flight fails at once, and each one
-    submitted later fails as this server's TransportError.
+    submitted or requested later fails as this server's TransportError
+    without opening a socket.
     """
 
     def __init__(
@@ -377,6 +380,7 @@ class TcpLink:
         self._lock = threading.Lock()
         self._sock: Optional[socket.socket] = None
         self._fh = None
+        self._closed = False
         self._worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix=f"TcpLink-{point}")
 
     def submit(self, fn: Callable[[], _T], deadline: float) -> Future:
@@ -397,6 +401,8 @@ class TcpLink:
 
     def request(self, ftype: int, payload: bytes) -> tuple[int, bytes]:
         with self._lock:
+            if self._closed:
+                raise TransportError(f"server {self.point}: link closed")
             try:
                 if self._fh is None:
                     self._connect()
@@ -428,6 +434,9 @@ class TcpLink:
         self._sock = None
 
     def close(self) -> None:
+        # `request` reads this under the lock: once it is set, no request
+        # opens a socket.
+        self._closed = True
         self._worker.shutdown(wait=False, cancel_futures=True)
         sock = self._sock
         if sock is not None:
@@ -729,26 +738,44 @@ def _audit_stored_shares(
 ) -> set[int]:
     """Identify servers whose stored vector leaves the polynomial.
 
-    For each candidate, the remaining servers' values must elementwise
-    agree with one fresh-degree polynomial; the candidate is a suspect
-    when it deviates from that polynomial somewhere.  A tampered value
-    that collides with the original is indistinguishable and escapes.
+    Each candidate s is tested by leave-one-out: the polynomial through
+    the first l of the other points is evaluated at every remaining
+    point, and s is a suspect when it alone deviates, in some column.
+
+    The work follows the disagreement, not the vector length.  A screen
+    interpolates from the first l points to each of the n-l others over
+    the whole vector: (n-l) full interpolations.  For a candidate
+    outside those l points the leave-one-out base is the same l points,
+    so its deviations are the screen's.  A column where the screen finds
+    no deviation, and the base holds residues, lies on one polynomial
+    of degree l-1 and deviates under no base; so each of the l base
+    candidates interpolates over the flagged columns only: l*(n-l)
+    interpolations of that width.  A tampered value that collides with
+    the original is indistinguishable and escapes.
     """
     f = scheme.field
     points = sorted(fetched)
-    suspects: set[int] = set()
+    if len(points) <= scheme.l:
+        return set()
     length = min(len(fetched[u]) for u in points)
     values = {u: fetched[u].values[:length] for u in points}
-    for s in points:
+    base, rest = points[: scheme.l], points[scheme.l :]
+    base_rows = [values[u] for u in base]
+    screen = [interpolate_vector(base, base_rows, t, f) != values[t] for t in rest]
+    deviating = [t for t, mask in zip(rest, screen) if mask.any()]
+    suspects = set(deviating) if len(deviating) == 1 else set()
+    columns = np.flatnonzero(np.logical_or.reduce(screen + [row >= f.p for row in base_rows]))
+    if columns.size == 0:
+        return suspects
+    flagged = {u: values[u][columns] for u in points}
+    for s in base:
         others = [u for u in points if u != s]
-        if len(others) < scheme.l:
-            continue
-        base, rest = others[: scheme.l], others[scheme.l :]
-        base_rows = [values[u] for u in base]
+        base_s, rest_s = others[: scheme.l], others[scheme.l :]
+        base_s_rows = [flagged[u] for u in base_s]
         deviating = [
             t
-            for t in rest + [s]
-            if not np.array_equal(interpolate_vector(base, base_rows, t, f), values[t])
+            for t in rest_s + [s]
+            if not np.array_equal(interpolate_vector(base_s, base_s_rows, t, f), flagged[t])
         ]
         if deviating == [s]:
             suspects.add(s)

@@ -44,6 +44,8 @@ from sss_prnu import (
     verify_residual,
 )
 from sss_prnu import wire
+from sss_prnu.protocol import _audit_stored_shares
+from sss_prnu.sharing import interpolate_vector, share_vector
 
 SCHEME = ShareScheme(l=2, n=4)
 CFG = ProtocolConfig(scheme=SCHEME, threshold=0.5)
@@ -340,6 +342,87 @@ def test_verify_identifies_lying_q_share():
     assert_liar_named(20)
 
 
+def leave_one_out_audit(fetched, scheme):
+    """The stored-share audit as a plain leave-one-out loop, n*(n-l)
+    full-vector interpolations: the reference for `_audit_stored_shares`."""
+    f = scheme.field
+    points = sorted(fetched)
+    suspects = set()
+    length = min(len(fetched[u]) for u in points)
+    values = {u: fetched[u].values[:length] for u in points}
+    for s in points:
+        others = [u for u in points if u != s]
+        if len(others) < scheme.l:
+            continue
+        base, rest = others[: scheme.l], others[scheme.l :]
+        base_rows = [values[u] for u in base]
+        deviating = [
+            t
+            for t in rest + [s]
+            if not np.array_equal(interpolate_vector(base, base_rows, t, f), values[t])
+        ]
+        if deviating == [s]:
+            suspects.add(s)
+    return suspects
+
+
+def tamper_patterns(gen, rows, p):
+    """Seeded tamper patterns on the honest `rows`, each a list of
+    (point, column, new value)."""
+    points = sorted(rows)
+    length = len(rows[points[0]])
+    cols = list(range(length))
+    yield []
+    for servers in ([gen.choice(points)], gen.sample(points, 2)):
+        yield [(u, gen.randrange(length), gen.randrange(p)) for u in servers]
+        yield [(u, c, gen.randrange(p)) for u in servers for c in gen.sample(cols, 3)]
+        yield [(u, c, gen.randrange(p)) for u in servers for c in cols]
+    same = gen.randrange(length)
+    yield [(u, same, gen.randrange(p)) for u in gen.sample(points, 2)]
+    # Values past p, which a lying server can send but no share holds: one
+    # random, and one that is its column's own residue plus p.
+    yield [(gen.choice(points), gen.randrange(length), p + gen.randrange(2**63))]
+    for u in points:
+        col = gen.randrange(length)
+        yield [(u, col, int(rows[u][col]) + p)]
+
+
+@pytest.mark.parametrize("l, n", [(2, 4), (2, 5), (3, 5), (3, 6)])
+def test_audit_matches_leave_one_out(l, n):
+    scheme = ShareScheme(l=l, n=n)
+    p = scheme.field.p
+    gen = random.Random(1000 * l + n)
+    length = 24
+    points = list(scheme.evaluation_points)
+    subsets = [c for k in range(l, n + 1) for c in combinations(points, k)]
+    named = 0
+    for trial in range(4):
+        secrets = [gen.randrange(p) for _ in range(length)]
+        shares = share_vector(secrets, scheme, random.Random(trial))
+        honest = {vec.point: vec.values for vec in shares}
+        for pattern in tamper_patterns(gen, honest, p):
+            rows = {u: v.copy() for u, v in honest.items()}
+            for u, col, value in pattern:
+                rows[u][col] = value
+            for subset in subsets:
+                fetched = {u: ShareVector(u, rows[u]) for u in subset}
+                want = leave_one_out_audit(fetched, scheme)
+                assert _audit_stored_shares(fetched, scheme) == want, (pattern, subset)
+                named += bool(want)
+    assert named > 0
+
+
+def test_audit_of_shares_of_unequal_length_matches_leave_one_out():
+    # Only the common prefix, here 6 elements, is compared.
+    honest = share_vector(list(range(10)), SCHEME, random.Random(4))
+    for col, named in ((2, {3}), (8, set())):
+        rows = {vec.point: vec.values.copy() for vec in honest}
+        rows[3][col] = int(rows[3][col]) ^ 1
+        rows[1] = rows[1][:6]
+        fetched = {u: ShareVector(u, v) for u, v in rows.items()}
+        assert _audit_stored_shares(fetched, SCHEME) == leave_one_out_audit(fetched, SCHEME) == named
+
+
 def test_verify_needs_spare_servers():
     scheme = ShareScheme(l=2, n=3)
     cfg = ProtocolConfig(scheme=scheme, threshold=0.5)
@@ -548,6 +631,23 @@ def test_failed_store_write_keeps_the_old_share(tmp_path, monkeypatch):
     assert store.get("cam") == old
     assert [path.name for path in tmp_path.iterdir()] == ["63616d.share"]
     assert ServerStore(2, SCHEME.field, str(tmp_path)).get("cam") == old
+
+
+def test_failed_store_delete_keeps_the_share(tmp_path, monkeypatch):
+    # The share stays served in memory exactly as a reloaded store serves it.
+    store = ServerStore(2, SCHEME.field, str(tmp_path))
+    vec = ShareVector(2, [3, 1, 4])
+    store.put("cam", vec)
+
+    def refuse(path):
+        raise OSError("read-only file system")
+
+    monkeypatch.setattr(os, "remove", refuse)
+    with pytest.raises(OSError, match="read-only"):
+        store.delete("cam")
+    monkeypatch.undo()
+    assert store.get("cam") == vec
+    assert ServerStore(2, SCHEME.field, str(tmp_path)).get("cam") == vec
 
 
 def test_out_of_field_store_file_is_skipped_not_a_dimension_error(tmp_path):
@@ -806,6 +906,18 @@ def test_tcp_closed_link_counts_as_a_dead_server(tcp_cluster):
     assert (exc.value.responded, exc.value.required) == (2, 3)
     for u in (3, 4):
         assert f"server {u}: link closed" in str(exc.value)
+
+
+def test_tcp_closed_link_opens_no_socket(tcp_cluster, monkeypatch):
+    base, _, _ = sample_pair(18)
+    enroll(base, "cam", CFG, tcp_cluster, random.Random(1))
+    link = tcp_cluster[0]
+    link.close()
+    connects = []
+    monkeypatch.setattr(socket, "create_connection", lambda *a, **k: connects.append(a))
+    with pytest.raises(TransportError, match="server 1: link closed"):
+        fetch_share("cam", link)
+    assert connects == []
 
 
 def test_tcp_server_reports_errors_and_stays_usable(tcp_cluster):
