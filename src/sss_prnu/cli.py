@@ -16,7 +16,7 @@ from contextlib import contextmanager
 from typing import Optional, Sequence
 
 from .field import DEFAULT_PRIME, FieldError, PrimeField
-from .fixedpoint import Centering, Scaling
+from .fixedpoint import Scaling
 from .prnu import (
     GaussianDenoiser,
     SyntheticCamera,
@@ -66,7 +66,6 @@ def _make_config(args) -> ProtocolConfig:
         scheme=scheme,
         threshold=args.threshold if args.threshold is not None else 0.0,
         scaling=Scaling(args.d),
-        mode=Centering(args.centering),
         denoiser=GaussianDenoiser(sigma=args.sigma, radius=args.radius),
         timeout_ms=args.timeout_ms,
     )
@@ -78,7 +77,6 @@ def _echo_config(args, cfg: ProtocolConfig, seed: Optional[int]) -> None:
     _emit("l", cfg.scheme.l)
     _emit("n", cfg.scheme.n)
     _emit("threshold", cfg.threshold)
-    _emit("centering", cfg.mode.value)
     _emit("sigma", cfg.denoiser.sigma)
     _emit("radius", cfg.denoiser.radius)
     _emit("timeout_ms", cfg.timeout_ms)
@@ -254,9 +252,9 @@ def _add_scheme_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=4, help="number of cloud servers")
     p.add_argument(
         "--centering",
-        choices=[m.value for m in Centering],
-        default=Centering.PLAINTEXT.value,
-        help="where mean removal happens",
+        choices=["plaintext"],
+        default="plaintext",
+        help="accepted for existing scripts; each owner centers its input before sharing",
     )
     p.add_argument("--timeout-ms", type=int, default=5000, dest="timeout_ms")
     p.add_argument("--threshold", type=float, default=None, help="match threshold")

@@ -20,15 +20,10 @@ integer sums.  The types allow no second multiplication:
 into a share vector.  Only the final division and square root happen in
 plaintext, on the reconstructing side.
 
-Centering happens in one of two places.  With plaintext centering the
-data owner subtracts the mean before sharing.  With encrypted centering
-the shares carry raw values and each server applies the moment identity
-
-    N * sum(a_k * b_k) - sum(a_k) * sum(b_k)
-        = N * sum((a_k - mean a) * (b_k - mean b))
-
-to its sums of products and share sums, so P and Q arrive scaled by N.
-The querier's R is N * sum(b_k * b_k) - sum(b_k)**2, with the same factor.
+Each owner holds its input in the clear, the fingerprint source its
+fingerprint and the querier its residual, so `prepare_vector`
+subtracts the mean before anything is encoded or shared.  The servers
+only ever sum products of centered values.
 
 All field values are exact fixed-point integers, so under the capacity
 bound the reconstructed sums equal the plaintext sums bit for bit.
@@ -44,7 +39,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fixedpoint import Centering, Scaling, capacity_check, encode_vector
+from .fixedpoint import Scaling, capacity_check, encode_vector
 from .prnu import DegenerateInput
 from .sharing import (
     InsufficientShares,
@@ -93,20 +88,13 @@ def prepare_vector(
     m: np.ndarray,
     s: Scaling,
     scheme: ShareScheme,
-    mode: Centering = Centering.PLAINTEXT,
     rng: Optional[random.Random] = None,
 ) -> tuple[list[ShareVector], int]:
-    """Encode a matrix into fixed point and split it into n share vectors.
+    """Center a matrix, encode it into fixed point and split it into n
+    share vectors.
 
-    Plaintext centering subtracts the mean before encoding, so shares
-    already represent the centered data.  Encrypted centering shares
-    the raw encodings and leaves centering to the moment identity in
-    `compute_partials`; the capacity check then covers the element_count
-    amplification that identity carries.
-
-    Also returns the matrix's own square sum R over the shared integers
-    m: sum(m * m) under plaintext centering, N * sum(m * m) - sum(m)**2
-    under encrypted.  For a query residual it is the R of r.
+    Also returns the square sum R = sum(m * m) over the shared integers
+    m.  For a query residual it is the R of r.
     """
     flat = np.asarray(m, dtype=np.float64).ravel()
     if flat.size == 0:
@@ -115,49 +103,35 @@ def prepare_vector(
     # max |x - mean| with no N-sized temporary: x - mean rounds
     # monotonically in x, so its extremes are those of the max and the min.
     max_centered = max(float(flat.max() - mean), float(mean - flat.min()))
-    plaintext = mode is Centering.PLAINTEXT
-    # Half a unit of rounding slack per element, in plaintext units;
-    # centering over integers leaves up to one full unit.
-    bound = max_centered + (0.5 if plaintext else 1.0) / s.scale
-    capacity_check(int(flat.size), bound, s, scheme.field, mode)
-    # The centered copy is freed before the share pass starts.
-    secrets, total, squares = encode_vector(flat - mean if plaintext else flat, s, scheme.field)
-    # The capacity check bounds the square sum below 2**60, so its value
+    # Half a unit of rounding slack per element, in plaintext units.
+    capacity_check(int(flat.size), max_centered + 0.5 / s.scale, s, scheme.field)
+    # The centered copy is freed before the share pass starts.  The
+    # capacity check bounds the square sum below 2**60, so its value
     # mod 2**64 is the exact integer.
-    own = squares if plaintext else (flat.size * squares - total * total) % 2**64
-    return share_vector(secrets, scheme, rng), own
+    secrets, squares = encode_vector(flat - mean, s, scheme.field)
+    return share_vector(secrets, scheme, rng), squares
 
 
 def compute_partials(
-    a: ShareVector, b: ShareVector, scheme: ShareScheme, mode: Centering, q: Optional[int] = None
+    a: ShareVector, b: ShareVector, scheme: ShareScheme, q: Optional[int] = None
 ) -> PartialCorrelation:
     """One server's local work: the sums of elementwise share products.
 
     Runs on one server's pair of shares alone, which must be at the same
     point and of the same length.  `q` is a's Q share from an earlier
     partial, which a server caches; without it, Q is summed from the same
-    limb split of a as P.  Under encrypted centering the moment identity
-    N*sum(ab) - sum(a)*sum(b) equals N * sum((a - mean a)(b - mean b));
-    the share sums are fresh-degree, so each term is still one share
-    multiplication, of the doubled degree.
+    limb split of a as P.
     """
     if a.point != b.point:
         raise PointMismatch(f"points {a.point} and {b.point} differ")
     if len(a) != len(b):
         raise LengthMismatch(f"lengths {len(a)} and {len(b)} differ")
     f = scheme.field
-    encrypted = mode is Centering.ENCRYPTED
-    sa, sb = (f.sum_vec(a.values), f.sum_vec(b.values)) if encrypted else (0, 0)
-
-    def center(xy: int, sx: int, sy: int) -> int:
-        return f.sub(f.mul(len(a), xy), f.mul(sx, sy)) if encrypted else xy
-
     if q is None:
-        aa, ab = f.sum_products([a.values, b.values], [(0, 0), (0, 1)])
-        q = center(aa, sa, sa)
+        q, ab = f.sum_products([a.values, b.values], [(0, 0), (0, 1)])
     else:
         (ab,) = f.sum_products([a.values, b.values], [(0, 1)])
-    return PartialCorrelation(point=a.point, p_share=center(ab, sa, sb), q_share=q)
+    return PartialCorrelation(point=a.point, p_share=ab, q_share=q)
 
 
 def reconstruct_sum_ints(
@@ -185,22 +159,17 @@ def reconstruct_partials(
     r_int: int,
     scheme: ShareScheme,
     scaling: Scaling,
-    mode: Centering,
-    element_count: int,
 ) -> tuple[float, float, float]:
     """Two Lagrange reconstructions and the querier's R, decoded back to
     real sums.
 
-    Products carry the squared scale; the moment identity of encrypted
-    centering leaves an element_count factor in each sum as well.
-    Decoding is a single exact integer-by-integer division per sum.
+    Products carry the squared scale, so decoding is a single exact
+    integer-by-integer division per sum.
     """
     p_int, q_int, r_int = reconstruct_sum_ints(parts, r_int, scheme)
     if q_int < 0:
         raise NegativeSquareSum(f"reconstructed Q={q_int}; a sum of squares cannot be negative")
     denom = scaling.scale**2
-    if mode is Centering.ENCRYPTED:
-        denom *= element_count
     return p_int / denom, q_int / denom, r_int / denom
 
 

@@ -236,12 +236,6 @@ class PrimeField:
             _shoup(x[part], multiplier, pv, addend, out[part], scratch[:, :width])
         return out
 
-    def sum_vec(self, x: np.ndarray) -> int:
-        """sum(x) mod p, exact for fewer than 2**32 canonical elements."""
-        lo = int(np.sum(x & _LO32, dtype=ELEMENT_DTYPE))
-        hi = int(np.sum(x >> _SHIFT32, dtype=ELEMENT_DTYPE))
-        return (lo + (hi << 32)) % self.p
-
     def sum_products(
         self, vectors: Sequence[np.ndarray], pairs: Sequence[tuple[int, int]]
     ) -> list[int]:

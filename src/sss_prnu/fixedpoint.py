@@ -4,9 +4,10 @@ Reals are scaled by 10**d, rounded to the nearest integer (ties away
 from zero), and mapped into Z_p with negatives represented as p - |m|.
 Products of two encoded values therefore carry a 10**(2d) scale, which
 `correlation.reconstruct_partials` divides out after the signed lift
-`PrimeField.signed`.  `encode_vector` also returns the sum and the sum
-of squares of the signed integers, from which the querier takes its own
-square sum R without any share arithmetic.
+`PrimeField.signed`.  `encode_vector` also returns the sum of squares
+of the signed integers, from which the querier takes its own square sum
+R without any share arithmetic.  `correlation.prepare_vector` subtracts
+the mean before it encodes, so the shared integers are already centered.
 
 All of the encrypted-domain arithmetic is exact as long as every
 intermediate integer stays within the signed range (-(p-1)/2, (p-1)/2];
@@ -15,26 +16,12 @@ intermediate integer stays within the signed range (-(p-1)/2, (p-1)/2];
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .field import ELEMENT_DTYPE, PrimeField
-
-
-class Centering(enum.Enum):
-    """Where mean subtraction happens.
-
-    PLAINTEXT: the data owner centers the matrix before encoding.
-    ENCRYPTED: raw values are shared and each server centers inside its
-    sums by the moment identity N*sum(ab) - sum(a)*sum(b), which avoids
-    the 1/N mean denominator at the cost of one factor N in each sum.
-    """
-
-    PLAINTEXT = "plaintext"
-    ENCRYPTED = "encrypted"
 
 
 class OutOfRange(ValueError):
@@ -89,15 +76,14 @@ def round_half_away(x: float) -> int:
 
 def encode_vector(
     xs: np.ndarray, s: Scaling, field: PrimeField
-) -> tuple[np.ndarray, int, int]:
+) -> tuple[np.ndarray, int]:
     """Encode reals as m = round(x * 10**d) mod p, as a `uint64` vector.
 
     Rounding is `round_half_away` applied elementwise.  Negative values
     land at p - |m| so `PrimeField.signed` recovers them exactly.
     Raises OutOfRange unless every |m| is at most (p-1)/2.  Returns the
-    vector with sum(m) and sum(m * m) of the signed integers, both
-    reduced mod 2**64: an integer formula in them is right mod 2**64, so
-    exact when its true value lies in [0, 2**64).
+    vector with sum(m * m) of the signed integers, reduced mod 2**64: it
+    is exact when the true sum lies below 2**64.
     """
     m = np.asarray(xs, dtype=np.float64) * s.scale
     # trunc(x + copysign(0.5, x)) is floor(x + 0.5) for x >= 0 and
@@ -116,36 +102,27 @@ def encode_vector(
     # Before the lift: unsigned arithmetic wraps mod 2**64 by definition,
     # and an integer dot never calls BLAS.
     u = q.view(ELEMENT_DTYPE)
-    total, squares = int(u.sum()), int(np.dot(u, u))
+    squares = int(np.dot(u, u))
     # Signed lift: q + p for q < 0, as q >> 63 is all ones exactly there.
     lift = half.view(np.int64)
     np.right_shift(q, 63, out=lift)
     lift &= field.p
     q += lift
-    return u, total, squares
+    return u, squares
 
 
 def capacity_check(
-    num_elements: int,
-    max_abs: float,
-    s: Scaling,
-    field: PrimeField,
-    centering: Centering = Centering.PLAINTEXT,
+    num_elements: int, max_abs: float, s: Scaling, field: PrimeField
 ) -> CapacityReport:
     """Verify that the correlation sums cannot overflow the signed range.
 
     max_abs is the largest centered magnitude in real units.  Each of
     the three sums is bounded by num_elements * (10**d * max_abs)**2.
-    Encrypted-side centering computes N*sum(ab) - sum(a)*sum(b), which is
-    num_elements times the centered sum, so the bound gains one more
-    num_elements factor.
 
     Returns the report on success, raises CapacityExceeded otherwise.
     """
     per_element = s.scale * max_abs
     required = num_elements * per_element**2
-    if centering is Centering.ENCRYPTED:
-        required *= num_elements
     bound = field.half
     margin = math.inf if required == 0 else bound / required
     report = CapacityReport(bound=bound, required=required, margin=margin)

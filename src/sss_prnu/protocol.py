@@ -61,7 +61,7 @@ from .correlation import (
     serialize_partial,
 )
 from .field import PrimeField
-from .fixedpoint import Centering, Scaling
+from .fixedpoint import Scaling
 from .prnu import DimensionMismatch, GaussianDenoiser, extract_residual
 from .sharing import (
     ShareScheme,
@@ -143,7 +143,6 @@ class ProtocolConfig:
     scheme: ShareScheme
     threshold: float
     scaling: Scaling = dc_field(default_factory=Scaling)
-    mode: Centering = Centering.PLAINTEXT
     denoiser: GaussianDenoiser = dc_field(default_factory=GaussianDenoiser)
     timeout_ms: int = 5000
 
@@ -163,7 +162,9 @@ class ServerStore:
     the hex of the id so arbitrary ids stay filesystem-safe.  A file that
     does not parse, holds another point's share or holds values outside
     `field` is logged and skipped, so one bad file cannot keep the server
-    from starting.  All mutations go through one lock.
+    from starting.  A `.share.tmp` file left by a `put` that crashed
+    before its `os.replace` is removed: the `.share` file, if any, is the
+    authoritative copy.  All mutations go through one lock.
     """
 
     def __init__(self, point: int, field: PrimeField, directory: Optional[str] = None):
@@ -174,6 +175,11 @@ class ServerStore:
         if directory is not None:
             os.makedirs(directory, exist_ok=True)
             for name in os.listdir(directory):
+                if name.endswith(".share.tmp"):
+                    _log.warning("removing leftover %s in %s", name, directory)
+                    with contextlib.suppress(OSError):
+                        os.remove(os.path.join(directory, name))
+                    continue
                 if not name.endswith(".share"):
                     continue
                 try:
@@ -297,7 +303,7 @@ class CloudServer:
         # a vector the store no longer holds (tampered, reloaded) is refilled.
         entry = self._own.get(fid)
         q = entry[1] if entry is not None and entry[0] is stored else None
-        pc = compute_partials(stored, qvec, self.cfg.scheme, self.cfg.mode, q)
+        pc = compute_partials(stored, qvec, self.cfg.scheme, q)
         self._own[fid] = (stored, pc.q_share)
         return wire.MSG_PARTIAL, serialize_partial(pc)
 
@@ -612,7 +618,7 @@ def enroll(
     store the share after the marker deleted it.
     """
     _check_request(links, cfg, fid, np.size(fingerprint))
-    vectors, _ = prepare_vector(fingerprint, cfg.scaling, cfg.scheme, cfg.mode, rng)
+    vectors, _ = prepare_vector(fingerprint, cfg.scaling, cfg.scheme, rng)
     records = _gather(links, _enroll_requests(links, fid, vectors), cfg)
     failed = [(link, result) for link, result in records if isinstance(result, Exception)]
     if failed:
@@ -658,22 +664,22 @@ def _no_quorum(
 
 def _query_servers(
     residual: np.ndarray, fid: str, cfg: ProtocolConfig, links: Sequence, rng, stop_at
-) -> tuple[int, int, list[ShareVector], list[PartialCorrelation]]:
+) -> tuple[int, list[ShareVector], list[PartialCorrelation]]:
     """Share a residual out as QUERYs and gather the partials.
 
-    Returns the element count, the residual's own square sum R, the query
-    shares sent and the partials in arrival order; fewer than a quorum
-    raise `_no_quorum`'s error.
+    Returns the residual's own square sum R, the query shares sent and
+    the partials in arrival order; fewer than a quorum raise
+    `_no_quorum`'s error.
     """
     flat = np.asarray(residual, dtype=np.float64).ravel()
     _check_request(links, cfg, fid, flat.size)
-    vectors, r_int = prepare_vector(flat, cfg.scaling, cfg.scheme, cfg.mode, rng)
+    vectors, r_int = prepare_vector(flat, cfg.scaling, cfg.scheme, rng)
     requests = [partial(_send_query, link, fid, vec) for link, vec in zip(links, vectors)]
     records = _gather(links, requests, cfg, stop_at)
     parts = [result for _, result in records if isinstance(result, PartialCorrelation)]
     if len(parts) < cfg.quorum:
         raise _no_quorum(len(parts), records, cfg)
-    return flat.size, r_int, vectors, parts
+    return r_int, vectors, parts
 
 
 def query_residual(
@@ -684,11 +690,9 @@ def query_residual(
     rng: Optional[random.Random] = None,
 ) -> MatchResult:
     """Correlate an already-extracted residual against an enrolled id."""
-    count, r_int, _, parts = _query_servers(residual, fid, cfg, links, rng, stop_at=cfg.quorum)
+    r_int, _, parts = _query_servers(residual, fid, cfg, links, rng, stop_at=cfg.quorum)
     first = parts[: cfg.quorum]
-    p_val, q_val, r_val = reconstruct_partials(
-        first, r_int, cfg.scheme, cfg.scaling, cfg.mode, count
-    )
+    p_val, q_val, r_val = reconstruct_partials(first, r_int, cfg.scheme, cfg.scaling)
     return finalize(
         p_val, q_val, r_val, cfg.threshold, server_subset=[pc.point for pc in first]
     )
@@ -799,7 +803,7 @@ def _audit_partials(
         if u not in fetched or u not in sent:
             continue
         try:
-            expected = compute_partials(fetched[u], sent[u], cfg.scheme, cfg.mode)
+            expected = compute_partials(fetched[u], sent[u], cfg.scheme)
         except Exception:
             suspects.add(u)
             continue
@@ -828,7 +832,7 @@ def verify_residual(
         raise NotApplicable(
             "with n equal to the quorum there is a single subset and nothing to compare"
         )
-    _, r_int, vectors, parts = _query_servers(residual, fid, cfg, links, rng, stop_at=None)
+    r_int, vectors, parts = _query_servers(residual, fid, cfg, links, rng, stop_at=None)
     sent = {vec.point: vec for vec in vectors}
     parts = sorted(parts, key=lambda pc: pc.point)
     by_point = {pc.point: pc for pc in parts}

@@ -15,7 +15,6 @@ import scipy.stats
 
 from conftest import oracle_correlation
 from sss_prnu import (
-    Centering,
     CloudServer,
     LocalCluster,
     PrimeField,
@@ -50,12 +49,10 @@ S4 = Scaling(4)
 def encrypted_r(x, y, rng):
     """Correlation-layer pipeline: share, multiply under encryption,
     reconstruct from the first quorum."""
-    ex, _ = prepare_vector(x, S4, SCHEME, Centering.PLAINTEXT, rng)
-    ey, r_int = prepare_vector(y, S4, SCHEME, Centering.PLAINTEXT, rng)
-    parts = [compute_partials(a, b, SCHEME, Centering.PLAINTEXT) for a, b in zip(ex, ey)]
-    p_val, q_val, r_val = reconstruct_partials(
-        parts[: SCHEME.quorum], r_int, SCHEME, S4, Centering.PLAINTEXT, x.size
-    )
+    ex, _ = prepare_vector(x, S4, SCHEME, rng)
+    ey, r_int = prepare_vector(y, S4, SCHEME, rng)
+    parts = [compute_partials(a, b, SCHEME) for a, b in zip(ex, ey)]
+    p_val, q_val, r_val = reconstruct_partials(parts[: SCHEME.quorum], r_int, SCHEME, S4)
     return finalize(p_val, q_val, r_val, 0.0).r
 
 
@@ -68,7 +65,7 @@ def test_criterion_1_encrypted_r_is_bitwise_equal_to_quantized_oracle():
         x = gen.uniform(-1, 1, (64, 64))
         y = gen.uniform(-1, 1, (64, 64))
         got = encrypted_r(x, y, rng)
-        want, _, _, _ = oracle_correlation(x, y, S4, Centering.PLAINTEXT)
+        want, _, _, _ = oracle_correlation(x, y, S4)
         assert got == want  # bit-for-bit
         float_r = pearson(x, y)
         worst_float_gap = max(worst_float_gap, abs(got - float_r))

@@ -23,7 +23,7 @@ from sss_prnu import (
     wire,
     write_pgm,
 )
-from sss_prnu.cli import main
+from sss_prnu.cli import build_parser, cmd_serve, main
 
 
 def run_cli(argv, capsys):
@@ -346,6 +346,23 @@ def request_once(address, ftype, payload):
         wire.write_frame(fh, ftype, payload)
         fh.flush()
         return wire.read_frame(fh)
+
+
+def test_centering_flag_accepts_only_plaintext(capsys):
+    # The serve command line of perfbench/run.py, word for word.
+    serve = [
+        "serve", "--point", "1", "--listen", "127.0.0.1:0", "--store", "server_1",
+        "--l", "2", "--n", "4", "--d", "4",
+        "--centering", "plaintext", "--threshold", "0.3",
+    ]
+    args = build_parser().parse_args(serve)
+    assert args.func is cmd_serve
+    assert (args.point, args.l, args.n, args.d, args.threshold) == (1, 2, 4, 4, 0.3)
+    serve[serve.index("plaintext")] = "encrypted"
+    with pytest.raises(SystemExit) as info:
+        build_parser().parse_args(serve)
+    assert info.value.code == 2
+    assert "invalid choice: 'encrypted'" in capsys.readouterr().err
 
 
 def test_serve_subprocess(tmp_path):

@@ -7,7 +7,6 @@ import pytest
 from conftest import oracle_correlation, oracle_sums
 from sss_prnu import (
     CapacityExceeded,
-    Centering,
     DegenerateInput,
     InsufficientShares,
     LengthMismatch,
@@ -30,28 +29,26 @@ SCHEME = ShareScheme(l=2, n=4)
 S4 = Scaling(4)
 
 
-def run_pipeline(x, y, scaling, mode, scheme=SCHEME, rng=None, subset=None):
+def run_pipeline(x, y, scaling, scheme=SCHEME, rng=None, subset=None):
     """Full encrypted path, returning (MatchResult, int sums)."""
     rng = rng if rng is not None else random.Random(0)
-    ex, _ = prepare_vector(x, scaling, scheme, mode, rng)
-    ey, r_int = prepare_vector(y, scaling, scheme, mode, rng)
-    parts = [compute_partials(a, b, scheme, mode) for a, b in zip(ex, ey)]
+    ex, _ = prepare_vector(x, scaling, scheme, rng)
+    ey, r_int = prepare_vector(y, scaling, scheme, rng)
+    parts = [compute_partials(a, b, scheme) for a, b in zip(ex, ey)]
     chosen = parts[: scheme.quorum] if subset is None else [parts[i] for i in subset]
     ints = reconstruct_sum_ints(chosen, r_int, scheme)
-    p_val, q_val, r_val = reconstruct_partials(chosen, r_int, scheme, scaling, mode, len(ex[0]))
+    p_val, q_val, r_val = reconstruct_partials(chosen, r_int, scheme, scaling)
     return finalize(p_val, q_val, r_val, 0.5), ints
 
 
-@pytest.mark.parametrize("mode", [Centering.PLAINTEXT, Centering.ENCRYPTED])
-def test_pipeline_matches_quantized_oracle_exactly(mode):
+def test_pipeline_matches_quantized_oracle_exactly():
     gen = np.random.default_rng(10)
     for trial in range(5):
         x = gen.uniform(-1, 1, (16, 16))
         y = gen.uniform(-1, 1, (16, 16))
-        result, ints = run_pipeline(x, y, S4, mode, rng=random.Random(trial))
-        op, oq, orr, denom = oracle_sums(x, y, S4, mode)
-        assert ints == (op, oq, orr)
-        r_oracle, p_oracle, q_oracle, rr_oracle = oracle_correlation(x, y, S4, mode)
+        result, ints = run_pipeline(x, y, S4, rng=random.Random(trial))
+        assert ints == oracle_sums(x, y, S4)
+        r_oracle, p_oracle, q_oracle, rr_oracle = oracle_correlation(x, y, S4)
         assert (result.p_val, result.q_val, result.r_val) == (p_oracle, q_oracle, rr_oracle)
         assert result.r == r_oracle
 
@@ -87,56 +84,28 @@ def test_prepare_rejects_empty_and_oversized():
         prepare_vector(huge * np.random.default_rng(2).uniform(0.5, 1, (64, 64)), Scaling(8), SCHEME)
 
 
-def encrypted_sum_ints(x, y, scaling, rng):
-    """Integer (P, Q, R) of the moment identity, from the first quorum."""
-    ex, _ = prepare_vector(x, scaling, SCHEME, Centering.ENCRYPTED, rng)
-    ey, r_int = prepare_vector(y, scaling, SCHEME, Centering.ENCRYPTED, rng)
-    parts = [compute_partials(a, b, SCHEME, Centering.ENCRYPTED) for a, b in zip(ex, ey)]
-    return reconstruct_sum_ints(parts[: SCHEME.quorum], r_int, SCHEME)
-
-
-def test_moment_identity_reference_example():
-    # (1, -1) at d=1 encodes to (10, -10): N=2, sums 0, so each sum is
-    # N * sum(ab) = 2 * 200 = 400, which is N times the centered 200.
-    m = np.array([1.0, -1.0])
-    assert encrypted_sum_ints(m, m, Scaling(1), random.Random(2)) == (400, 400, 400)
-    assert encrypted_sum_ints(m, -m, Scaling(1), random.Random(3)) == (-400, 400, 400)
-    # Shifting by 0.5 gives (15, -5), sum 10: 2 * 250 - 10 * 10 = 400 again.
-    assert encrypted_sum_ints(m + 0.5, m, Scaling(1), random.Random(4)) == (400, 400, 400)
-
-
-def test_moment_identity_constant_vector_is_degenerate():
+def test_constant_input_is_degenerate():
+    # Mean removal turns a constant input into zeros, so its square sum is 0
+    # and r is undefined, on the fingerprint's side as on the query's.
     m = np.full(5, 3.25)
     other = np.array([0.5, -1.0, 2.0, 0.25, -0.75])
-    p_int, q_int, r_int = encrypted_sum_ints(m, other, S4, random.Random(3))
-    assert p_int == q_int == 0
-    assert r_int > 0
-    with pytest.raises(DegenerateInput):
-        run_pipeline(m, other, S4, Centering.ENCRYPTED)
+    for x, y in ((m, other), (other, m)):
+        with pytest.raises(DegenerateInput):
+            run_pipeline(x, y, S4)
 
 
-def test_centered_values_sum_to_zero():
-    # Against a constant vector the cross term is N * sum(x_k - mean) * c,
-    # which is zero exactly when the centered values sum to zero.
-    gen = np.random.default_rng(11)
-    m = gen.uniform(-2, 2, 7)
-    p_int, _, r_int = encrypted_sum_ints(m, np.full(7, 1.5), S4, random.Random(4))
-    assert p_int == 0 and r_int == 0
-
-
-def test_compute_partials_guards_operands_in_both_modes():
-    for mode in Centering:
-        a, _ = prepare_vector(np.array([0.5, -0.5]), S4, SCHEME, mode, random.Random(7))
-        b, _ = prepare_vector(np.array([0.5, -0.5, 1.0]), S4, SCHEME, mode, random.Random(8))
-        with pytest.raises(PointMismatch):
-            compute_partials(a[0], a[1], SCHEME, mode)
-        with pytest.raises(LengthMismatch):
-            compute_partials(a[0], b[0], SCHEME, mode)
+def test_compute_partials_guards_operands():
+    a, _ = prepare_vector(np.array([0.5, -0.5]), S4, SCHEME, random.Random(7))
+    b, _ = prepare_vector(np.array([0.5, -0.5, 1.0]), S4, SCHEME, random.Random(8))
+    with pytest.raises(PointMismatch):
+        compute_partials(a[0], a[1], SCHEME)
+    with pytest.raises(LengthMismatch):
+        compute_partials(a[0], b[0], SCHEME)
 
 
 def test_all_zero_inputs_give_zero_sums():
     z, r_int = prepare_vector(np.zeros(4), S4, SCHEME, rng=random.Random(10))
-    parts = [compute_partials(v, v, SCHEME, Centering.PLAINTEXT) for v in z]
+    parts = [compute_partials(v, v, SCHEME) for v in z]
     assert reconstruct_sum_ints(parts[:3], r_int, SCHEME) == (0, 0, 0)
 
 
@@ -144,10 +113,10 @@ def test_self_correlation_p_equals_q_equals_r():
     gen = np.random.default_rng(12)
     x = gen.uniform(-1, 1, (6, 6))
     ex, r_int = prepare_vector(x, S4, SCHEME, rng=random.Random(11))
-    parts = [compute_partials(v, v, SCHEME, Centering.PLAINTEXT) for v in ex]
+    parts = [compute_partials(v, v, SCHEME) for v in ex]
     p, q, r = reconstruct_sum_ints(parts[:3], r_int, SCHEME)
     assert p == q == r
-    result, _ = run_pipeline(x, x, S4, Centering.PLAINTEXT)
+    result, _ = run_pipeline(x, x, S4)
     assert result.r == 1.0 and result.matched
 
 
@@ -156,7 +125,7 @@ def test_hand_worked_two_by_two():
     # the second matrix; the sums of products are checked by hand.
     a_m = np.array([[0.1, 0.2], [0.3, 0.4]])
     b_m = np.array([[0.4, 0.3], [0.2, 0.1]])
-    _, ints = run_pipeline(a_m, b_m, S4, Centering.PLAINTEXT)
+    _, ints = run_pipeline(a_m, b_m, S4)
     a = [-1500, -500, 500, 1500]
     b = [1500, 500, -500, -1500]
     assert ints == (
@@ -172,9 +141,7 @@ def test_subset_independence():
     y = gen.uniform(-1, 1, (8, 8))
     results = set()
     for subset in combinations(range(4), 3):
-        result, ints = run_pipeline(
-            x, y, S4, Centering.PLAINTEXT, rng=random.Random(77), subset=subset
-        )
+        result, ints = run_pipeline(x, y, S4, rng=random.Random(77), subset=subset)
         results.add((ints, result.r))
     assert len(results) == 1
 
@@ -183,16 +150,16 @@ def test_insufficient_partials():
     gen = np.random.default_rng(14)
     x = gen.uniform(-1, 1, (4, 4))
     ex, r_int = prepare_vector(x, S4, SCHEME, rng=random.Random(12))
-    parts = [compute_partials(v, v, SCHEME, Centering.PLAINTEXT) for v in ex]
+    parts = [compute_partials(v, v, SCHEME) for v in ex]
     with pytest.raises(InsufficientShares):
-        reconstruct_partials(parts[:2], r_int, SCHEME, S4, Centering.PLAINTEXT, x.size)
+        reconstruct_partials(parts[:2], r_int, SCHEME, S4)
 
 
 def test_negative_square_sum_detection():
     gen = np.random.default_rng(16)
     x = gen.uniform(-1, 1, (4, 4))
     ex, r_int = prepare_vector(x, S4, SCHEME, rng=random.Random(14))
-    parts = [compute_partials(v, v, SCHEME, Centering.PLAINTEXT) for v in ex]
+    parts = [compute_partials(v, v, SCHEME) for v in ex]
     f = SCHEME.field
     # Force the reconstructed Q negative by shifting one q_share.
     q_int = reconstruct_sum_ints(parts[:3], r_int, SCHEME)[1]
@@ -203,7 +170,7 @@ def test_negative_square_sum_detection():
         q_share=f.sub(bad.q_share, 3 * q_int % f.p),
     )
     with pytest.raises(NegativeSquareSum):
-        reconstruct_partials([bad] + parts[1:3], r_int, SCHEME, S4, Centering.PLAINTEXT, x.size)
+        reconstruct_partials([bad] + parts[1:3], r_int, SCHEME, S4)
 
 
 def test_finalize_reference_and_degenerate():
@@ -222,7 +189,7 @@ def test_decision_scale_invariant_across_d():
     y = 0.7 * x + 0.3 * gen.uniform(-1, 1, (16, 16))
     decisions = set()
     for d in (3, 4, 5, 6):
-        result, _ = run_pipeline(x, y, Scaling(d), Centering.PLAINTEXT)
+        result, _ = run_pipeline(x, y, Scaling(d))
         decisions.add(result.matched)
     assert decisions == {True}
 
@@ -231,7 +198,7 @@ def test_partial_serialization_roundtrip():
     gen = np.random.default_rng(18)
     x = gen.uniform(-1, 1, (4, 4))
     ex, _ = prepare_vector(x, S4, SCHEME, rng=random.Random(15))
-    pc = compute_partials(ex[2], ex[2], SCHEME, Centering.PLAINTEXT)
+    pc = compute_partials(ex[2], ex[2], SCHEME)
     raw = serialize_partial(pc)
     assert len(raw) == 24
     assert raw[:8] == (pc.point).to_bytes(8, "big")
@@ -248,25 +215,24 @@ def unit(side):
     return np.where((i + j) % 2 == 0, 1.0, -1.0)
 
 
-@pytest.mark.parametrize("mode", list(Centering))
-def test_querier_square_sum_matches_oracle(mode):
-    # The querier's own R against the Python-int oracle.  Data far from
-    # zero has a raw square sum past 2**64 under encrypted centering, so
-    # only its value mod 2**64 survives the dot; at the capacity edge,
-    # N * sum(m * m) under encrypted centering is within 1% of 2**60.
+def test_querier_square_sum_matches_oracle():
+    # The querier's own R against the Python-int oracle: small data, a
+    # large offset that centering must remove as the oracle does, and a
+    # large unit-bounded image.
     gen = np.random.default_rng(19)
     cases = [gen.uniform(-1, 1, (16, 16)), 1e4 + gen.uniform(-1, 1, (64, 64)), unit(327)]
     for y in cases:
-        _, r_int = prepare_vector(y, S4, SCHEME, mode, random.Random(20))
-        assert r_int == oracle_sums(y, y, S4, mode)[2]
+        _, r_int = prepare_vector(y, S4, SCHEME, random.Random(20))
+        assert r_int == oracle_sums(y, y, S4)[2]
 
 
-def test_encrypted_mode_needs_capacity_headroom():
-    # Unit-bounded data at d=4: the moment identity's extra factor N caps
-    # encrypted centering at 327x327, while plaintext centering still
-    # fits the next side.
-    shares, _ = prepare_vector(unit(327), S4, SCHEME, Centering.ENCRYPTED, random.Random(17))
-    assert len(shares[0]) == 327 * 327
-    prepare_vector(unit(328), S4, SCHEME, Centering.PLAINTEXT, random.Random(16))
+def test_prepare_capacity_edge():
+    # Unit-bounded, zero-mean data needs about N * (10**d)**2 <= (p-1)/2.
+    # At d=8 that admits 114 elements and refuses 116; at d=4 a 328x328
+    # image fits with room to spare.
+    alternating = [np.where(np.arange(size) % 2 == 0, 1.0, -1.0) for size in (114, 116)]
+    prepare_vector(alternating[0], Scaling(8), SCHEME, random.Random(17))
     with pytest.raises(CapacityExceeded):
-        prepare_vector(unit(328), S4, SCHEME, Centering.ENCRYPTED, random.Random(18))
+        prepare_vector(alternating[1], Scaling(8), SCHEME, random.Random(18))
+    shares, _ = prepare_vector(unit(328), S4, SCHEME, random.Random(16))
+    assert len(shares[0]) == 328 * 328

@@ -6,7 +6,6 @@ import pytest
 
 from sss_prnu import (
     CapacityExceeded,
-    Centering,
     OutOfRange,
     PrimeField,
     Scaling,
@@ -95,15 +94,15 @@ def test_capacity_overflow():
     assert not exc_info.value.report.ok
 
 
-def test_capacity_encrypted_mode_amplification():
-    # Encrypted centering multiplies the bound by one more factor N:
-    # unit data at d=4 needs N**2 * 10**8 <= (p-1)/2, so the last square
-    # side that fits is 327 (N = 106929) and the next one overflows.
-    report = capacity_check(327 * 327, 1.0, Scaling(4), FIELD, Centering.ENCRYPTED)
-    assert report.required == (327 * 327) ** 2 * 10**8
+def test_capacity_edge():
+    # Unit data at d=4 needs N * 10**8 <= (p-1)/2: the last element count
+    # that fits is 11,529,215,046 and the next one overflows.
+    last = FIELD.half // 10**8
+    report = capacity_check(last, 1.0, Scaling(4), FIELD)
+    assert report.required == last * 10**8
     with pytest.raises(CapacityExceeded):
-        capacity_check(328 * 328, 1.0, Scaling(4), FIELD, Centering.ENCRYPTED)
-    capacity_check(328 * 328, 1.0, Scaling(4), FIELD, Centering.PLAINTEXT)
+        capacity_check(last + 1, 1.0, Scaling(4), FIELD)
+    capacity_check(328 * 328, 1.0, Scaling(4), FIELD)
 
 
 def test_exact_homomorphism_on_quantized_rationals():
@@ -129,15 +128,14 @@ def test_encode_vector_matches_scalar_rounding():
     rng = random.Random(12)
     xs += [rng.uniform(-1e6, 1e6) for _ in range(2000)]
     # Near the edge of the signed range the square sum passes 2**64; it
-    # comes back reduced mod 2**64, as the sum does.
+    # comes back reduced mod 2**64.
     xs += [rng.choice((-1, 1)) * rng.uniform(2**59, 0.99 * 2**60) / s.scale for _ in range(64)]
-    got, total, squares = encode_vector(np.array(xs), s, FIELD)
+    got, squares = encode_vector(np.array(xs), s, FIELD)
     assert got.dtype == np.uint64
     ints = [round_half_away(x * s.scale) for x in xs]
     assert got.tolist() == [m % FIELD.p for m in ints]
     assert got[:4].tolist() == [3, FIELD.p - 3, 4, FIELD.p - 4]
     assert got[8] == 0 and got[9] == 0
-    assert total == sum(ints) % 2**64
     assert squares == sum(m * m for m in ints) % 2**64
 
 

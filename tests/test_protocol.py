@@ -13,7 +13,6 @@ import pytest
 
 from conftest import oracle_correlation
 from sss_prnu import (
-    Centering,
     CloudServer,
     DimensionMismatch,
     EnrollTimeout,
@@ -157,7 +156,7 @@ def test_query_matches_quantized_oracle():
     base, near, _ = sample_pair(4)
     enroll(base, "cam", CFG, cluster.links, random.Random(1))
     res = query_residual(near, "cam", CFG, cluster.links, random.Random(2))
-    r, p_val, q_val, r_val = oracle_correlation(base, near, CFG.scaling, CFG.mode)
+    r, p_val, q_val, r_val = oracle_correlation(base, near, CFG.scaling)
     assert (res.r, res.p_val, res.q_val, res.r_val) == (r, p_val, q_val, r_val)
     assert res.matched == (res.r >= CFG.threshold)
     assert len(res.server_subset) == CFG.quorum
@@ -255,19 +254,6 @@ def test_liveness_exhaustive_wider_scheme():
             query_residual(near, "cam", cfg, cluster.links, random.Random(4))
 
 
-def test_encrypted_centering_mode_end_to_end():
-    # 64x64 unit data at d=4 is past what a separate N**2 centering pass
-    # could hold; the moment identity's single factor N fits it.
-    cfg = ProtocolConfig(scheme=SCHEME, threshold=0.5, mode=Centering.ENCRYPTED)
-    cluster = make_cluster(cfg)
-    base, near, _ = sample_pair(9, shape=(64, 64))
-    enroll(base, "cam", cfg, cluster.links, random.Random(1))
-    res = query_residual(near, "cam", cfg, cluster.links, random.Random(2))
-    r, p_val, q_val, r_val = oracle_correlation(base, near, cfg.scaling, cfg.mode)
-    assert (res.r, res.p_val, res.q_val, res.r_val) == (r, p_val, q_val, r_val)
-    assert verify_residual(near, "cam", cfg, cluster.links, random.Random(3)).consistent
-
-
 def test_verify_consistent_when_honest():
     cluster = make_cluster()
     base, near, _ = sample_pair(10)
@@ -281,17 +267,14 @@ def test_verify_consistent_when_honest():
 
 
 def test_verify_identifies_tampered_store():
-    # Both modes, so the partials audit also replays the moment identity.
-    for mode in Centering:
-        cfg = ProtocolConfig(scheme=SCHEME, threshold=0.5, mode=mode)
-        cluster = make_cluster(cfg)
-        base, near, _ = sample_pair(11)
-        enroll(base, "cam", cfg, cluster.links, random.Random(1))
-        cluster.tamper_stored(2, "cam", flip_one_element(random.Random(5), SCHEME.field.p))
-        report = verify_residual(near, "cam", cfg, cluster.links, random.Random(2))
-        assert not report.consistent
-        assert report.suspects == (2,)
-        assert set(report.implicated[2]) == {(1, 2, 3), (1, 2, 4), (2, 3, 4)}
+    cluster = make_cluster()
+    base, near, _ = sample_pair(11)
+    enroll(base, "cam", CFG, cluster.links, random.Random(1))
+    cluster.tamper_stored(2, "cam", flip_one_element(random.Random(5), SCHEME.field.p))
+    report = verify_residual(near, "cam", CFG, cluster.links, random.Random(2))
+    assert not report.consistent
+    assert report.suspects == (2,)
+    assert set(report.implicated[2]) == {(1, 2, 3), (1, 2, 4), (2, 3, 4)}
 
 
 class LyingLink:
@@ -321,17 +304,15 @@ class LyingLink:
 
 
 def assert_liar_named(byte):
-    for mode in Centering:
-        cfg = ProtocolConfig(scheme=SCHEME, threshold=0.5, mode=mode)
-        cluster = make_cluster(cfg)
-        base, near, _ = sample_pair(12)
-        enroll(base, "cam", cfg, cluster.links, random.Random(1))
-        links = list(cluster.links)
-        links[3] = LyingLink(links[3], byte)
-        report = verify_residual(near, "cam", cfg, links, random.Random(2))
-        assert not report.consistent
-        assert report.suspects == (4,)
-        assert set(report.implicated[4]) == {(1, 2, 4), (1, 3, 4), (2, 3, 4)}
+    cluster = make_cluster()
+    base, near, _ = sample_pair(12)
+    enroll(base, "cam", CFG, cluster.links, random.Random(1))
+    links = list(cluster.links)
+    links[3] = LyingLink(links[3], byte)
+    report = verify_residual(near, "cam", CFG, links, random.Random(2))
+    assert not report.consistent
+    assert report.suspects == (4,)
+    assert set(report.implicated[4]) == {(1, 2, 4), (1, 3, 4), (2, 3, 4)}
 
 
 def test_verify_identifies_lying_computation():
@@ -616,6 +597,19 @@ def test_store_skips_unreadable_files(tmp_path, caplog):
         assert name in warned
 
 
+def test_store_removes_leftover_temporaries(tmp_path):
+    # A put that crashed before its os.replace leaves a partial copy
+    # beside the authoritative share, or beside nothing.
+    good = ShareVector(2, [3, 1, 4])
+    ServerStore(2, SCHEME.field, str(tmp_path)).put("cam-a", good)
+    (tmp_path / ("cam-a".encode("utf-8").hex() + ".share.tmp")).write_bytes(b"\x00\x00")
+    (tmp_path / ("cam-b".encode("utf-8").hex() + ".share.tmp")).write_bytes(b"\x00")
+    reloaded = ServerStore(2, SCHEME.field, str(tmp_path))
+    assert reloaded.ids() == ["cam-a"]
+    assert reloaded.get("cam-a") == good
+    assert [path.name for path in tmp_path.iterdir()] == ["cam-a".encode("utf-8").hex() + ".share"]
+
+
 def test_failed_store_write_keeps_the_old_share(tmp_path, monkeypatch):
     store = ServerStore(2, SCHEME.field, str(tmp_path))
     old = ShareVector(2, [3, 1, 4])
@@ -669,7 +663,7 @@ def test_out_of_field_store_file_is_skipped_not_a_dimension_error(tmp_path):
     assert info.value.points == (2,)
     cluster.set_down([])
     res = query_residual(near, "cam", CFG, cluster.links, random.Random(3))
-    assert res.r == oracle_correlation(base, near, CFG.scaling, CFG.mode)[0]
+    assert res.r == oracle_correlation(base, near, CFG.scaling)[0]
 
 
 def _server_partial(link, fid, vec):
@@ -682,16 +676,15 @@ def _server_partial(link, fid, vec):
     return deserialize_partial(rpayload)
 
 
-@pytest.mark.parametrize("mode", list(Centering))
-def test_cached_own_sums_follow_the_store(mode, tmp_path):
-    cfg = ProtocolConfig(scheme=SCHEME, threshold=0.5, mode=mode)
-    cluster = make_cluster(cfg, store_root=str(tmp_path))
+def test_cached_own_sums_follow_the_store(tmp_path):
+    cfg = CFG
+    cluster = make_cluster(store_root=str(tmp_path))
     server, link = cluster.servers[2], cluster.links[1]
     base, near, far = sample_pair(29)
-    qvec = prepare_vector(near, cfg.scaling, SCHEME, mode, random.Random(3))[0][1]
+    qvec = prepare_vector(near, cfg.scaling, SCHEME, random.Random(3))[0][1]
 
     def assert_fresh():
-        fresh = compute_partials(server.store.get("cam"), qvec, SCHEME, mode)
+        fresh = compute_partials(server.store.get("cam"), qvec, SCHEME)
         assert _server_partial(link, "cam", qvec) == fresh
 
     enroll(base, "cam", cfg, cluster.links, random.Random(1))
@@ -722,11 +715,11 @@ def test_cached_own_sums_under_racing_enrolls():
     cfg = CFG
     server = CloudServer(1, cfg)
     shares = [
-        prepare_vector(m, cfg.scaling, SCHEME, cfg.mode, random.Random(i))[0][0]
+        prepare_vector(m, cfg.scaling, SCHEME, random.Random(i))[0][0]
         for i, m in enumerate(sample_pair(32)[::2])
     ]
-    qvec = prepare_vector(sample_pair(32)[1], cfg.scaling, SCHEME, cfg.mode, random.Random(9))[0][0]
-    allowed = {compute_partials(v, qvec, SCHEME, cfg.mode) for v in shares}
+    qvec = prepare_vector(sample_pair(32)[1], cfg.scaling, SCHEME, random.Random(9))[0][0]
+    allowed = {compute_partials(v, qvec, SCHEME) for v in shares}
     enrolls = [wire.pack_identified("cam", serialize_share_vector(v)) for v in shares]
     query = wire.pack_identified("cam", serialize_share_vector(qvec))
     server.handle(wire.MSG_ENROLL, enrolls[0])
@@ -810,7 +803,7 @@ def test_each_share_is_split_into_limbs_once_per_query(monkeypatch):
     # The audit's replay has no cache at all, and splits each share once.
     stored = cluster.servers[1].store.get("cam")
     sent, _ = prepare_vector(near, CFG.scaling, SCHEME)
-    compute_partials(stored, sent[0], SCHEME, CFG.mode)
+    compute_partials(stored, sent[0], SCHEME)
     assert len(splits) == 4 * SCHEME.n + 2
 
 
