@@ -29,7 +29,7 @@ from .prnu import (
     write_nmat,
     write_pgm,
 )
-from .correlation import NegativeSquareSum
+from .correlation import InconsistentSums
 from .protocol import (
     CloudServer,
     LocalCluster,
@@ -86,7 +86,7 @@ def _echo_config(args, cfg: ProtocolConfig, seed: Optional[int]) -> None:
 @contextmanager
 def _links(args, cfg: ProtocolConfig):
     """The links to `--servers` or to a `--store-root` cluster, closed on
-    exit so that no TcpLink worker outlives the command."""
+    exit so that no TcpLink thread outlives the command."""
     if args.servers:
         parts = [s.strip() for s in args.servers.split(",") if s.strip()]
         if len(parts) != cfg.scheme.n:
@@ -341,7 +341,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (NegativeSquareSum, ProtocolError) as exc:
+    except (InconsistentSums, ProtocolError) as exc:
         print(f"error={exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError, FieldError, SharingError) as exc:

@@ -52,12 +52,17 @@ from .sharing import (
 )
 
 
-class NegativeSquareSum(ValueError):
-    """A reconstructed sum of squares came out negative.
+class InconsistentSums(ValueError):
+    """Reconstructed sums that no honest execution produces.
 
-    Impossible for honest executions under the capacity bound; signals
+    Honest shares under the capacity bound reconstruct the exact integer
+    sums, for which P*P <= Q*R (Cauchy-Schwarz).  A violation signals
     share tampering or an overflowing configuration.
     """
+
+
+class NegativeSquareSum(InconsistentSums):
+    """A reconstructed sum of squares came out negative."""
 
 
 @dataclass(frozen=True)
@@ -164,11 +169,18 @@ def reconstruct_partials(
     real sums.
 
     Products carry the squared scale, so decoding is a single exact
-    integer-by-integer division per sum.
+    integer-by-integer division per sum.  Integer sums that break
+    Q >= 0 or P*P <= Q*R raise InconsistentSums, so that a tampered
+    share cannot yield |r| > 1.
     """
     p_int, q_int, r_int = reconstruct_sum_ints(parts, r_int, scheme)
     if q_int < 0:
         raise NegativeSquareSum(f"reconstructed Q={q_int}; a sum of squares cannot be negative")
+    if p_int * p_int > q_int * r_int:
+        raise InconsistentSums(
+            f"reconstructed P={p_int}, Q={q_int}, R={r_int} break the"
+            " Cauchy-Schwarz bound P*P <= Q*R"
+        )
     denom = scaling.scale**2
     return p_int / denom, q_int / denom, r_int / denom
 

@@ -20,31 +20,35 @@ move identical frame bytes, so traffic observers see the same thing
 either way.
 
 Each link also owns its concurrency.  The drivers send every request
-through `_gather`, which hands it to `link.submit(fn, deadline)`.  LocalLink
-runs it at once on the calling thread: an in-process server shares the
-caller's interpreter lock, so a thread would add start-up cost and no
-overlap.  TcpLink queues it on its one long-lived worker thread, so the
-n servers of a fan-out work in parallel while each link carries one
-request at a time, in order.  A request that its link reaches only
-after its deadline fails with TransportError and is never sent, so a
-hung server costs each query at most one wait and never a thread.
+through `_gather`, which calls `link.send(ftype, payload, deadline)` for
+each server and parses each reply on the calling thread.  LocalLink
+runs the request at once on the calling thread: an in-process server
+shares the caller's interpreter lock, so a thread would add start-up
+cost and no overlap.  TcpLink writes the frame at once and returns a
+Future; the n servers of a fan-out then work in parallel, and one
+process-wide `TcpLink-io` thread reads every server's replies, in order
+per connection.  A request still unanswered at its deadline fails with
+TransportError and takes its connection down, so a hung server costs
+each query at most one wait and never a thread.
 """
 
 from __future__ import annotations
 
 import contextlib
 import logging
+import math
 import os
 import random
+import selectors
 import socket
 import socketserver
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass, field as dc_field
-from functools import partial
 from itertools import combinations
-from typing import Callable, Iterable, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -124,17 +128,6 @@ class NotApplicable(ProtocolError):
 # Observer hook shared by both transports: (server point, "send"/"recv",
 # raw frame bytes).  Used for golden traces and confidentiality audits.
 Observer = Callable[[int, str, bytes], None]
-
-_T = TypeVar("_T")
-
-
-def _run_by(deadline: float, point: int, fn: Callable[[], _T]) -> _T:
-    """Run a request for server `point` unless `deadline` (on the
-    time.monotonic clock) has passed; then it fails unsent."""
-    if time.monotonic() > deadline:
-        raise TransportError(f"server {point}: request not started before its deadline")
-    return fn()
-
 
 @dataclass
 class ProtocolConfig:
@@ -334,12 +327,15 @@ class LocalLink:
     def point(self) -> int:
         return self.server.point
 
-    def submit(self, fn: Callable[[], _T], deadline: float) -> Future:
-        """Run `fn` at once on the calling thread; the returned Future is
-        already done."""
+    def send(self, ftype: int, payload: bytes, deadline: float) -> Future:
+        """Run the request at once on the calling thread, unless `deadline`
+        (on the time.monotonic clock) has passed; the returned Future of
+        (rtype, rpayload) is already done."""
         fut: Future = Future()
         try:
-            fut.set_result(_run_by(deadline, self.point, fn))
+            if time.monotonic() > deadline:
+                raise TransportError(f"server {self.point}: request not sent before its deadline")
+            fut.set_result(self.request(ftype, payload))
         except Exception as exc:  # kept in the Future, raised by result()
             fut.set_exception(exc)
         return fut
@@ -363,13 +359,18 @@ class LocalLink:
 class TcpLink:
     """Persistent client connection to one server over TCP.
 
-    `submit` queues requests on the link's one worker thread, which
-    starts on first use and runs them one at a time, in order.  `request`
-    may also be called directly; a lock keeps the two from interleaving
-    frames on the socket.  `close()` ends the worker: requests still
-    queued are cancelled, the one in flight fails at once, and each one
-    submitted or requested later fails as this server's TransportError
-    without opening a socket.
+    `send` writes a request frame from the calling thread at once and
+    returns the Future of its reply, so requests pipeline on the one
+    connection and their replies come back in order.  The process-wide
+    `TcpLink-io` thread (`_IoLoop`) reads every link's replies as they
+    arrive, stragglers included, and finishes any write the socket did
+    not take at once.  A request still unanswered at its deadline fails,
+    and its connection is torn down with every request behind it, since
+    its late reply would answer the next one; the next `send` connects
+    afresh.  `request` is `send` waited on, under a deadline `timeout_ms`
+    from now.  `close()` fails every request still out, and each one
+    sent later fails as this server's TransportError without opening a
+    socket.
     """
 
     def __init__(
@@ -383,77 +384,289 @@ class TcpLink:
         self.address = address
         self.timeout = timeout_ms / 1000.0
         self.observer = observer
+        # _sending orders senders and close(), and covers a blocking
+        # connect; _lock guards what the TcpLink-io thread shares.
+        self._sending = threading.Lock()
         self._lock = threading.Lock()
         self._sock: Optional[socket.socket] = None
-        self._fh = None
+        self._loop: Optional[_IoLoop] = None
         self._closed = False
-        self._worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix=f"TcpLink-{point}")
-
-    def submit(self, fn: Callable[[], _T], deadline: float) -> Future:
-        """Queue `fn` behind this link's earlier requests.  After `close()`
-        the returned Future has already failed with TransportError."""
-        try:
-            return self._worker.submit(_run_by, deadline, self.point, fn)
-        except RuntimeError:  # the worker was shut down by close()
-            fut: Future = Future()
-            fut.set_exception(TransportError(f"server {self.point}: link closed"))
-            return fut
+        self._pending: deque = deque()  # (Future, deadline) per request out, in send order
+        self._out: deque = deque()  # memoryviews of frame bytes the socket has not taken
+        self._frames = wire.FrameSplitter()
 
     def _connect(self) -> None:
         sock = socket.create_connection(self.address, timeout=self.timeout)
-        sock.settimeout(self.timeout)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock.setblocking(False)
         self._sock = sock
-        self._fh = sock.makefile("rwb")
 
-    def request(self, ftype: int, payload: bytes) -> tuple[int, bytes]:
-        with self._lock:
+    def send(self, ftype: int, payload: bytes, deadline: float) -> Future:
+        """Write one request now and return the Future of its reply,
+        (rtype, rpayload).  A request that cannot go out fails as this
+        server's TransportError; so does one still unanswered at
+        `deadline`, on the time.monotonic clock."""
+        with self._sending:
+            now = time.monotonic()
             if self._closed:
-                raise TransportError(f"server {self.point}: link closed")
+                return self._failed("link closed")
+            if now > deadline:
+                return self._failed("request not sent before its deadline")
+            with self._lock:
+                if self._overdue(now):
+                    self._drop("no reply by the deadline")
+                fresh = self._sock is None
             try:
-                if self._fh is None:
-                    self._connect()
                 frame = wire.encode_frame(ftype, payload)
+                if fresh:
+                    self._connect()  # outside self._lock, which the TcpLink-io thread takes
+                    if self._loop is None:
+                        self._loop = _IoLoop.join(self)
+            except (OSError, wire.FrameError) as exc:
+                return self._failed(exc)
+            fut: Future = Future()
+            with self._lock:
                 if self.observer is not None:
                     self.observer(self.point, "send", frame)
-                self._fh.write(frame)
-                self._fh.flush()
-                rtype, rpayload = wire.read_frame(self._fh)
-            except (OSError, wire.ConnectionClosed, wire.FrameError) as exc:
-                self._teardown()
-                raise TransportError(f"server {self.point}: {exc}") from exc
-            if self.observer is not None:
-                self.observer(self.point, "recv", wire.encode_frame(rtype, rpayload))
-            return rtype, rpayload
+                self._pending.append((fut, deadline))
+                waiting = bool(self._out)
+                self._out.append(memoryview(frame))
+                try:
+                    self._flush()
+                except OSError as exc:
+                    self._drop(str(exc))
+                    return fut
+                # The loop learns of a fresh socket only now, with the
+                # request queued, so it cannot tear it down before.
+                if fresh or (self._out and not waiting):
+                    self._loop.watch(self)
+            self._loop.expect(deadline)
+            return fut
 
-    def _teardown(self) -> None:
-        if self._fh is not None:
+    def request(self, ftype: int, payload: bytes) -> tuple[int, bytes]:
+        """One request, waited on; its failure raises TransportError."""
+        return self.send(ftype, payload, time.monotonic() + self.timeout).result()
+
+    def _failed(self, cause) -> Future:
+        """A Future that has already failed as this server's TransportError."""
+        fut: Future = Future()
+        fut.set_exception(TransportError(f"server {self.point}: {cause}"))
+        return fut
+
+    # -- called with self._lock held -------------------------------------------
+
+    def _overdue(self, now: float) -> bool:
+        return any(deadline < now for _, deadline in self._pending)
+
+    def _flush(self) -> None:
+        """Write queued bytes until the socket takes no more."""
+        while self._out:
+            view = self._out[0]
             try:
-                self._fh.close()
-            except OSError:
-                pass
-        if self._sock is not None:
+                sent = self._sock.send(view)
+            except BlockingIOError:
+                return
+            if sent < len(view):
+                self._out[0] = view[sent:]
+                return
+            self._out.popleft()
+
+    def _drop(self, cause: str) -> None:
+        """Tear the connection down; every request out fails with `cause`."""
+        sock, self._sock = self._sock, None
+        if sock is not None:
+            self._loop.retire(sock)
+        self._out.clear()
+        self._frames = wire.FrameSplitter()
+        while self._pending:
+            fut, _ = self._pending.popleft()
+            fut.set_exception(TransportError(f"server {self.point}: {cause}"))
+
+    # -- called by the TcpLink-io thread ---------------------------------------
+
+    def _on_ready(self, sock: socket.socket, mask: int, buf: bytearray) -> None:
+        """Write what the socket takes and read what has arrived; a reply
+        completes the oldest request out."""
+        with self._lock:
+            if sock is not self._sock:
+                return  # torn down; the loop closes it
             try:
-                self._sock.close()
-            except OSError:
-                pass
-        self._fh = None
-        self._sock = None
+                if mask & selectors.EVENT_WRITE:
+                    self._flush()
+                if mask & selectors.EVENT_READ:
+                    try:
+                        count = sock.recv_into(buf)
+                    except BlockingIOError:
+                        return
+                    if count == 0:
+                        raise wire.ConnectionClosed("stream closed")
+                    with memoryview(buf) as view:
+                        frames = self._frames.feed(view[:count])
+                    for rtype, rpayload in frames:
+                        if not self._pending:
+                            raise wire.FrameError(f"unsolicited frame type {rtype:#04x}")
+                        if self.observer is not None:
+                            self.observer(self.point, "recv", wire.encode_frame(rtype, rpayload))
+                        self._pending.popleft()[0].set_result((rtype, rpayload))
+            except (OSError, wire.FrameError) as exc:
+                self._drop(str(exc))
+            except Exception as exc:  # the TcpLink-io thread serves every link: keep it running
+                _log.exception("server %d: reply handling failed", self.point)
+                self._drop(f"reply handling failed: {exc}")
+
+    def _expire(self, now: float) -> float:
+        """Tear the connection down if a request out has passed its
+        deadline; returns the earliest deadline still pending."""
+        with self._lock:
+            if self._overdue(now):
+                self._drop("no reply by the deadline")
+            return min((deadline for _, deadline in self._pending), default=math.inf)
+
+    def _interest(self) -> tuple[Optional[socket.socket], int]:
+        """The socket to watch and the events to watch it for."""
+        with self._lock:
+            return self._sock, selectors.EVENT_READ | (selectors.EVENT_WRITE if self._out else 0)
 
     def close(self) -> None:
-        # `request` reads this under the lock: once it is set, no request
-        # opens a socket.
-        self._closed = True
-        self._worker.shutdown(wait=False, cancel_futures=True)
-        sock = self._sock
-        if sock is not None:
-            # Wakes a worker blocked on a server that does not answer.
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-        self._worker.shutdown(wait=True)
+        with self._sending, self._lock:
+            self._closed = True
+            self._drop("link closed")
+            loop, self._loop = self._loop, None
+        if loop is not None:
+            loop.leave(self)
+
+
+class _IoLoop:
+    """One life of the process-wide `TcpLink-io` thread.
+
+    The thread starts when the first TcpLink connects and ends when the
+    last connected link closes; a link that connects after that starts a
+    new one.  It runs a `selectors` loop over every link's socket: it
+    reads replies and hands each to its link, finishes writes the socket
+    did not take at once, fails requests whose deadline has passed, and
+    unregisters and closes the sockets that links tear down.  Only this
+    thread touches the selector; links tell it what changed through
+    `watch`, `expect` and `retire`, which wake it through a socket pair.
+    Lock order: a link's lock, then `_IoLoop._lock`, never the reverse.
+    """
+
+    _lock = threading.Lock()  # the current loop and every loop's fields below
+    _current: Optional["_IoLoop"] = None
+
+    def __init__(self) -> None:
+        self._selector = selectors.DefaultSelector()
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_r.setblocking(False)
+        self._selector.register(self._wake_r, selectors.EVENT_READ)
+        self._links: set = set()
+        self._changed: set = set()  # links whose socket or writes changed
+        self._retired: list = []  # sockets torn down, to unregister and close
+        self._due = math.inf  # no request out has an earlier deadline
+        self._woken = False
+        self._stopping = False
+        self._thread = threading.Thread(target=self._run, name="TcpLink-io", daemon=True)
+
+    @classmethod
+    def join(cls, link: TcpLink) -> "_IoLoop":
+        with cls._lock:
+            loop = cls._current
+            if loop is None:
+                loop = cls._current = cls()
+                loop._thread.start()
+            loop._links.add(link)
+            return loop
+
+    def leave(self, link: TcpLink) -> None:
+        """`link` closed; the last link to leave ends the thread and waits for it."""
         with self._lock:
-            self._teardown()
+            self._links.discard(link)
+            if self._links:
+                return
+            self._stopping = True
+            if _IoLoop._current is self:
+                _IoLoop._current = None
+            self._wake()
+        if threading.current_thread() is not self._thread:
+            self._thread.join()
+
+    def watch(self, link: TcpLink) -> None:
+        with self._lock:
+            self._changed.add(link)
+            self._wake()
+
+    def expect(self, deadline: float) -> None:
+        """A request with `deadline` is out."""
+        with self._lock:
+            if deadline < self._due:
+                self._due = deadline
+                self._wake()
+
+    def retire(self, sock: socket.socket) -> None:
+        with self._lock:
+            self._retired.append(sock)
+            self._wake()
+
+    def _wake(self) -> None:
+        # Called with _lock held.
+        if not self._woken:
+            self._woken = True
+            self._wake_w.send(b"\0")
+
+    def _run(self) -> None:
+        buf = bytearray(1 << 16)
+        try:
+            while True:
+                now = time.monotonic()
+                with self._lock:
+                    retired, self._retired = self._retired, []
+                    changed, self._changed = self._changed, set()
+                    stopping = self._stopping
+                    links = list(self._links) if self._due <= now else []
+                    if links:
+                        self._due = math.inf  # lowered again by each `expect` from here on
+                for sock in retired:
+                    with contextlib.suppress(KeyError):
+                        self._selector.unregister(sock)
+                    sock.close()
+                if stopping:
+                    return
+                for link in changed:
+                    self._register(link)
+                # Only once a deadline is due: fail what is overdue and
+                # find the next deadline among the requests still out.
+                due = min((link._expire(now) for link in links), default=math.inf)
+                with self._lock:
+                    self._due = min(self._due, due)
+                    timeout = None if self._due == math.inf else max(0.0, self._due - now)
+                for key, mask in self._selector.select(timeout):
+                    if key.data is None:
+                        # Drained before the flag drops: a wake in between
+                        # sends no byte, and the next pass reads its change.
+                        with contextlib.suppress(BlockingIOError):
+                            while self._wake_r.recv(64):
+                                pass
+                        with self._lock:
+                            self._woken = False
+                        continue
+                    key.data._on_ready(key.fileobj, mask, buf)
+                    if mask & selectors.EVENT_WRITE:
+                        self._register(key.data)
+        finally:
+            for key in list(self._selector.get_map().values()):
+                key.fileobj.close()
+            self._selector.close()
+            self._wake_w.close()
+
+    def _register(self, link: TcpLink) -> None:
+        """Watch `link`'s current socket for what it needs."""
+        sock, events = link._interest()
+        if sock is None:
+            return
+        try:
+            if self._selector.get_key(sock).events != events:
+                self._selector.modify(sock, events, link)
+        except KeyError:
+            self._selector.register(sock, events, link)
 
 
 def flip_one_element(rng: random.Random, p: int) -> Callable[[ShareVector], ShareVector]:
@@ -544,57 +757,60 @@ def _expect(link, want: int, reply: tuple[int, bytes]) -> bytes:
 
 
 def _gather(
-    links: Sequence, requests: Iterable[Callable], cfg: ProtocolConfig, stop_at=None
+    links: Sequence, requests: Iterable[tuple], cfg: ProtocolConfig, stop_at=None
 ) -> list[tuple]:
-    """Run the i-th of `requests` on `links[i]` under one deadline.
+    """Send the i-th of `requests`, a (frame type, payload, parser)
+    triple, on `links[i]` under one deadline, and parse the replies.
 
-    Each request is drawn just before its link gets it, and each link
-    runs it as its transport decides (`submit`).  The deadline is
-    `cfg.timeout_ms` from now: a request that its link reaches only
-    after it fails as that server's TransportError and is never sent,
-    and waiting ends there.  Waiting also ends once every server replied
-    or `stop_at` requests succeeded; the requests left stay with their
-    links, which send each one they reach by the deadline.  Returns one
-    (link, result or exception) record per server, in arrival order,
-    those that arrive together in link order.  Each server not heard
-    from when waiting ends gets a TransportError record.
+    Each request is drawn just before its link sends it, so a payload is
+    built while the ones before it travel.  The deadline is
+    `cfg.timeout_ms` from now; a link fails each request still
+    unanswered by then.  Waiting ends at the deadline, once every server
+    replied, or once `stop_at` replies parsed; the links read the late
+    replies.  Each reply goes through `parser(link, (rtype, rpayload))`
+    on the calling thread.  Returns one (link, parsed reply or exception)
+    record per server, in arrival order, those that arrive together in
+    link order.  Each server not heard from when waiting ends gets a
+    TransportError record.
     """
     deadline = time.monotonic() + cfg.timeout_ms / 1000.0
-    futures = [link.submit(fn, deadline) for link, fn in zip(links, requests)]
+    sent = [
+        (link, link.send(ftype, payload, deadline), parse)
+        for link, (ftype, payload, parse) in zip(links, requests)
+    ]
     records: list[tuple] = []
     succeeded = 0
-    pending = set(futures)
+    pending = {fut for _, fut, _ in sent}
     while pending and (stop_at is None or succeeded < stop_at):
         remaining = max(0.0, deadline - time.monotonic())
         done, pending = wait(pending, timeout=remaining, return_when=FIRST_COMPLETED)
         if not done:
             break
-        for link, fut in zip(links, futures):
+        for link, fut, parse in sent:
             if fut not in done:
                 continue
             try:
-                records.append((link, fut.result()))
+                records.append((link, parse(link, fut.result())))
                 succeeded += 1
             except (ProtocolError, _ServerRefusal) as exc:
                 records.append((link, exc))
     records.extend(
         (link, TransportError(f"server {link.point}: no reply by the deadline"))
-        for link, fut in zip(links, futures)
+        for link, fut, _ in sent
         if fut in pending
     )
     return records
 
 
-def _send_enroll(link, payload: bytes) -> None:
-    _expect(link, wire.MSG_ENROLL_ACK, link.request(wire.MSG_ENROLL, payload))
+def _parse_ack(link, reply: tuple[int, bytes]) -> bytes:
+    return _expect(link, wire.MSG_ENROLL_ACK, reply)
 
 
-def _enroll_requests(links: Sequence, fid: str, vectors: Sequence[ShareVector]):
-    """One ENROLL request per link.  Each share is serialized on the calling
-    thread as `_gather` draws its request: on the TcpLink workers the n
-    serializations would contend for the interpreter lock."""
-    for link, vec in zip(links, vectors):
-        yield partial(_send_enroll, link, wire.pack_identified(fid, serialize_share_vector(vec)))
+def _enroll_requests(fid: str, vectors: Sequence[ShareVector]):
+    """One ENROLL request per share vector, serialized as `_gather` draws
+    it: each frame is on the wire while the next is serialized."""
+    for vec in vectors:
+        yield wire.MSG_ENROLL, wire.pack_identified(fid, serialize_share_vector(vec)), _parse_ack
 
 
 def enroll(
@@ -612,31 +828,30 @@ def enroll(
     may still store the share (a lost or late ACK) or keep an older one
     (a refused re-enroll); then EnrollTimeout names each failed server
     and its cause.  A failed enrollment thus costs at most two deadlines.
-    On its link the marker queues behind the server's ENROLL.  One race
+    On its link the marker follows the server's ENROLL.  One race
     remains: a TcpLink whose ENROLL timed out sends the marker on a
     fresh connection, and a server still working on that ENROLL can
     store the share after the marker deleted it.
     """
     _check_request(links, cfg, fid, np.size(fingerprint))
     vectors, _ = prepare_vector(fingerprint, cfg.scaling, cfg.scheme, rng)
-    records = _gather(links, _enroll_requests(links, fid, vectors), cfg)
+    records = _gather(links, _enroll_requests(fid, vectors), cfg)
     failed = [(link, result) for link, result in records if isinstance(result, Exception)]
     if failed:
         markers = [ShareVector(link.point, []) for link in links]
         # Best effort; the id was never fully enrolled.
-        _gather(links, _enroll_requests(links, fid, markers), cfg)
+        _gather(links, _enroll_requests(fid, markers), cfg)
         raise EnrollTimeout(failed)
     return tuple(link.point for link in links)
 
 
-def _send_query(link, fid: str, vec: ShareVector) -> PartialCorrelation:
-    payload = wire.pack_identified(fid, serialize_share_vector(vec))
-    rpayload = _expect(link, wire.MSG_PARTIAL, link.request(wire.MSG_QUERY, payload))
+def _parse_partial(link, reply: tuple[int, bytes]) -> PartialCorrelation:
+    rpayload = _expect(link, wire.MSG_PARTIAL, reply)
     try:
         pc = deserialize_partial(rpayload)
     except ValueError as exc:
         raise TransportError(f"server {link.point}: {exc}") from exc
-    if pc.point != vec.point:
+    if pc.point != link.point:
         raise TransportError(f"server {link.point} answered for point {pc.point}")
     return pc
 
@@ -674,7 +889,10 @@ def _query_servers(
     flat = np.asarray(residual, dtype=np.float64).ravel()
     _check_request(links, cfg, fid, flat.size)
     vectors, r_int = prepare_vector(flat, cfg.scaling, cfg.scheme, rng)
-    requests = [partial(_send_query, link, fid, vec) for link, vec in zip(links, vectors)]
+    requests = (
+        (wire.MSG_QUERY, wire.pack_identified(fid, serialize_share_vector(vec)), _parse_partial)
+        for vec in vectors
+    )
     records = _gather(links, requests, cfg, stop_at)
     parts = [result for _, result in records if isinstance(result, PartialCorrelation)]
     if len(parts) < cfg.quorum:
@@ -710,12 +928,9 @@ def query(
     return query_residual(residual, fid, cfg, links, rng)
 
 
-def fetch_share(fid: str, link) -> ShareVector:
-    """Pull one server's stored share for auditing."""
+def _parse_share(link, reply: tuple[int, bytes]) -> ShareVector:
     try:
-        rpayload = _expect(
-            link, wire.MSG_SHARE, link.request(wire.MSG_FETCH, wire.pack_identified(fid))
-        )
+        rpayload = _expect(link, wire.MSG_SHARE, reply)
     except _ServerRefusal as exc:
         if exc.code == wire.ERR_UNKNOWN_ID:
             raise UnknownFingerprint([link.point]) from exc
@@ -724,6 +939,11 @@ def fetch_share(fid: str, link) -> ShareVector:
         return deserialize_share_vector(rpayload)
     except ValueError as exc:
         raise TransportError(f"server {link.point}: {exc}") from exc
+
+
+def fetch_share(fid: str, link) -> ShareVector:
+    """Pull one server's stored share for auditing."""
+    return _parse_share(link, link.request(wire.MSG_FETCH, wire.pack_identified(fid)))
 
 
 @dataclass
@@ -848,7 +1068,8 @@ def verify_residual(
     implicated: dict[int, list[tuple[int, ...]]] = {}
     if not consistent:
         answered = [link for link in links if link.point in by_point]
-        records = _gather(answered, [partial(fetch_share, fid, link) for link in answered], cfg)
+        fetch = (wire.MSG_FETCH, wire.pack_identified(fid), _parse_share)
+        records = _gather(answered, [fetch] * len(answered), cfg)
         fetched = {link.point: vec for link, vec in records if isinstance(vec, ShareVector)}
         suspects |= _audit_stored_shares(fetched, scheme)
         suspects |= _audit_partials(fetched, sent, by_point, cfg)
@@ -895,6 +1116,11 @@ def verify_consistency(
 
 
 class _FrameHandler(socketserver.StreamRequestHandler):
+    # A client pipelines requests, so one reply can follow another that is
+    # not yet acknowledged; Nagle's algorithm would hold it until the
+    # client's delayed ACK, some 40 ms.
+    disable_nagle_algorithm = True
+
     def handle(self) -> None:
         server: CloudServer = self.server.cloud_server  # type: ignore[attr-defined]
         while True:

@@ -78,15 +78,45 @@ def _read_exact(fh: BinaryIO, count: int) -> bytes:
     return data
 
 
-def read_frame(fh: BinaryIO) -> tuple[int, bytes]:
-    """Read one frame; raises ConnectionClosed on clean EOF between frames."""
-    (length,) = _LEN.unpack(_read_exact(fh, _LEN.size))
+def _check_declared(length: int) -> int:
+    """A length field as read: it must cover the type byte and stay
+    within MAX_FRAME."""
     if length < 1:
         raise FrameError("frame length must cover the type byte")
     if length > MAX_FRAME:
         raise FrameError(f"declared frame length {length} exceeds limit")
-    body = _read_exact(fh, length)
+    return length
+
+
+def read_frame(fh: BinaryIO) -> tuple[int, bytes]:
+    """Read one frame; raises ConnectionClosed on clean EOF between frames."""
+    (length,) = _LEN.unpack(_read_exact(fh, _LEN.size))
+    body = _read_exact(fh, _check_declared(length))
     return body[0], body[1:]
+
+
+class FrameSplitter:
+    """Splits a byte stream into frames as its bytes arrive, under
+    read_frame's length rules, for a reader that must not block."""
+
+    def __init__(self) -> None:
+        self._buf = bytearray()
+
+    def feed(self, data: bytes) -> list[tuple[int, bytes]]:
+        """The frames that `data` completes, in order; a bad length field
+        raises FrameError."""
+        buf = self._buf
+        buf += data
+        frames = []
+        while len(buf) >= _LEN.size:
+            (length,) = _LEN.unpack_from(buf)
+            end = _LEN.size + _check_declared(length)
+            if len(buf) < end:
+                break
+            with memoryview(buf) as view:
+                frames.append((buf[_LEN.size], bytes(view[_LEN.size + 1 : end])))
+            del buf[:end]
+        return frames
 
 
 def write_frame(fh: BinaryIO, ftype: int, payload: bytes = b"") -> None:

@@ -7,11 +7,16 @@ bound the pipeline must reproduce these values bit for bit.
 
 Like each data owner, the oracle subtracts the mean in floating point
 before it quantizes.
+
+Every test also runs under a guard that fails it if it leaves a TcpLink
+thread running.
 """
 
 import math
+import threading
 
 import numpy as np
+import pytest
 
 from sss_prnu import Scaling, round_half_away
 
@@ -40,3 +45,19 @@ def oracle_correlation(
     denom = scaling.scale**2
     p_val, q_val, r_val = (total / denom for total in oracle_sums(x, y, scaling))
     return p_val / math.sqrt(q_val * r_val), p_val, q_val, r_val
+
+
+def _link_threads() -> set:
+    return {t for t in threading.enumerate() if t.name.startswith("TcpLink-")}
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_link_thread():
+    """Fail the test that leaves a TcpLink thread running.  Every open
+    TcpLink keeps the shared TcpLink-io thread alive, so a link a test
+    forgets to close would otherwise fail a later, unrelated test."""
+    before = _link_threads()
+    yield
+    leaked = _link_threads() - before
+    names = sorted(t.name for t in leaked)
+    assert not leaked, f"threads {names} outlive the test; close every TcpLink"

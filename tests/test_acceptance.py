@@ -210,7 +210,7 @@ def test_criterion_7_seeded_tcp_runs_produce_identical_traces():
                 links.append(TcpLink(u, srv.server_address, observer=observer))
             enroll(fp, "cam", cfg, links, random.Random(42))
             res = query_residual(probe, "cam", cfg, links, random.Random(43))
-            # Collector may return before the slowest worker finishes;
+            # The query returns at quorum, before the last reply is read;
             # wait for every per-point stream to settle.
             deadline = time.monotonic() + 5.0
             while time.monotonic() < deadline:

@@ -272,6 +272,32 @@ def test_verify_flags_tampered_store(dataset, tmp_path, capsys):
     assert "tampering" in err
 
 
+def test_query_of_a_tampered_store_is_protocol_error(dataset, tmp_path, capsys):
+    store = str(tmp_path / "cluster")
+    code, _, _ = run_cli(
+        ["enroll", "--fingerprint", dataset["fp"], "--id", "cam00",
+         "--store-root", store, "--seed", "5"],
+        capsys,
+    )
+    assert code == 0
+    # Server 2 is in the first quorum of an in-process query.  This shift
+    # leaves Q positive, so only the Cauchy-Schwarz bound refuses it.
+    s2 = ServerStore(2, PrimeField(), os.path.join(store, "server_2"))
+    vec = s2.get("cam00")
+    values = list(vec.values)
+    values[17] = (values[17] + (1 << 41)) % (2**61 - 1)
+    s2.put("cam00", type(vec)(vec.point, values))
+
+    code, out, err = run_cli(
+        ["query", "--image", dataset["same_query"], "--id", "cam00",
+         "--store-root", store, "--threshold", "0.3", "--seed", "8"],
+        capsys,
+    )
+    assert code == 3
+    assert "MATCH" not in out
+    assert "Cauchy-Schwarz" in err
+
+
 def test_env_seed_overrides_flag(dataset, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SSS_PRNU_SEED", "99")
     roots = []
@@ -299,8 +325,8 @@ def test_missing_transport_is_usage_error(dataset, capsys):
 
 def test_query_returns_past_a_silent_server(dataset, capsys):
     # Server 4's endpoint accepts connections but never answers.  The
-    # query matches on servers 1-3, and closing its links wakes the link
-    # worker still waiting on server 4 instead of waiting out the timeout.
+    # query matches on servers 1-3, and closing its links fails the
+    # request still out to server 4 instead of waiting out the timeout.
     cfg = ProtocolConfig(scheme=ShareScheme(l=2, n=4), threshold=0.3)
     servers = [TcpCloudServer(("127.0.0.1", 0), CloudServer(u, cfg)) for u in (1, 2, 3, 4)]
     for srv in servers:

@@ -8,6 +8,7 @@ from conftest import oracle_correlation, oracle_sums
 from sss_prnu import (
     CapacityExceeded,
     DegenerateInput,
+    InconsistentSums,
     InsufficientShares,
     LengthMismatch,
     NegativeSquareSum,
@@ -171,6 +172,30 @@ def test_negative_square_sum_detection():
     )
     with pytest.raises(NegativeSquareSum):
         reconstruct_partials([bad] + parts[1:3], r_int, SCHEME, S4)
+
+
+def test_cauchy_schwarz_violation_detection():
+    gen = np.random.default_rng(17)
+    x = gen.uniform(-1, 1, (4, 4))
+    y = gen.uniform(-1, 1, (4, 4))
+    ea, _ = prepare_vector(x, S4, SCHEME, rng=random.Random(15))
+    eb, r_int = prepare_vector(y, S4, SCHEME, rng=random.Random(16))
+    parts = [compute_partials(a, b, SCHEME) for a, b in zip(ea, eb)]
+    p_int, q_int, _ = reconstruct_sum_ints(parts[:3], r_int, SCHEME)
+    # The honest sums sit inside the bound; a shifted P share leaves it
+    # while Q stays a valid, positive sum of squares.
+    assert p_int * p_int <= q_int * r_int
+    f = SCHEME.field
+    bad = parts[0]
+    bad = type(bad)(
+        point=bad.point,
+        p_share=(bad.p_share + 3 * q_int) % f.p,
+        q_share=bad.q_share,
+    )
+    with pytest.raises(InconsistentSums, match="Cauchy-Schwarz") as exc:
+        reconstruct_partials([bad] + parts[1:3], r_int, SCHEME, S4)
+    assert not isinstance(exc.value, NegativeSquareSum)
+    assert issubclass(NegativeSquareSum, InconsistentSums)
 
 
 def test_finalize_reference_and_degenerate():

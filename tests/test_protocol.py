@@ -6,6 +6,7 @@ import struct
 import sys
 import threading
 import time
+from concurrent.futures import Future
 from itertools import combinations
 
 import numpy as np
@@ -16,6 +17,7 @@ from sss_prnu import (
     CloudServer,
     DimensionMismatch,
     EnrollTimeout,
+    InconsistentSums,
     LocalCluster,
     LocalLink,
     NotApplicable,
@@ -25,6 +27,7 @@ from sss_prnu import (
     ServerStore,
     ShareScheme,
     ShareVector,
+    SyntheticCamera,
     TcpCloudServer,
     TcpLink,
     TransportError,
@@ -33,9 +36,11 @@ from sss_prnu import (
     deserialize_partial,
     deserialize_share_vector,
     enroll,
+    estimate_fingerprint,
     fetch_share,
     flip_one_element,
     prepare_vector,
+    query,
     query_residual,
     reconstruct_vector,
     serialize_share_vector,
@@ -277,6 +282,19 @@ def test_verify_identifies_tampered_store():
     assert set(report.implicated[2]) == {(1, 2, 3), (1, 2, 4), (2, 3, 4)}
 
 
+def test_query_refuses_a_tampered_store_instead_of_impossible_r():
+    # One flipped element on server 2 used to reach `finalize` as
+    # r = 412.8, reported as a MATCH.
+    cfg = ProtocolConfig(scheme=SCHEME, threshold=0.01)
+    cam = SyntheticCamera.create(128, 128, seed=1)
+    fp = estimate_fingerprint([cam.shoot() for _ in range(8)], cfg.denoiser)
+    cluster = make_cluster(cfg)
+    enroll(fp, "cam", cfg, cluster.links, random.Random(1))
+    cluster.tamper_stored(2, "cam", flip_one_element(random.Random(4), SCHEME.field.p))
+    with pytest.raises(InconsistentSums, match="Cauchy-Schwarz"):
+        query(cam.shoot(), "cam", cfg, cluster.links, random.Random(0))
+
+
 class LyingLink:
     """Delegates to a real link but flips one bit of each PARTIAL answer,
     at `byte`: 8-15 hold the P share, 16-23 the Q share."""
@@ -289,15 +307,14 @@ class LyingLink:
     def point(self):
         return self.inner.point
 
-    def submit(self, fn, deadline):
-        return self.inner.submit(fn, deadline)
-
-    def request(self, ftype, payload):
-        rtype, rpayload = self.inner.request(ftype, payload)
+    def send(self, ftype, payload, deadline):
+        rtype, rpayload = self.inner.send(ftype, payload, deadline).result()
         if rtype == wire.MSG_PARTIAL:
             at = self.byte
             rpayload = rpayload[:at] + bytes([rpayload[at] ^ 0x40]) + rpayload[at + 1 :]
-        return rtype, rpayload
+        lied = Future()
+        lied.set_result((rtype, rpayload))
+        return lied
 
     def close(self):
         self.inner.close()
@@ -950,6 +967,262 @@ def test_tcp_unreachable_server_is_transport_error():
         link.request(wire.MSG_FETCH, wire.pack_identified("x"))
 
 
+def start_server(cloud, cls=TcpCloudServer):
+    srv = cls(("127.0.0.1", 0), cloud)
+    threading.Thread(target=srv.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True).start()
+    return srv
+
+
+def stop(links, servers):
+    for link in links:
+        link.close()
+    for srv in servers:
+        srv.shutdown()
+        srv.server_close()
+
+
+def link_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("TcpLink-")]
+
+
+def test_tcp_two_requests_in_flight_get_their_own_replies_in_order():
+    cloud = CloudServer(1, CFG)
+    cloud.store.put("a", ShareVector(1, [1, 2, 3]))
+    cloud.store.put("b", ShareVector(1, [4, 5]))
+    both_sent = threading.Event()
+    inner = cloud.handle
+
+    def held(ftype, payload):
+        # The server answers "a" only once the client has sent "b" too.
+        if ftype == wire.MSG_FETCH and unpack_identified(payload)[0] == "a":
+            both_sent.wait(5)
+        return inner(ftype, payload)
+
+    cloud.handle = held
+    srv = start_server(cloud)
+    link = TcpLink(1, srv.server_address)
+    try:
+        deadline = time.monotonic() + 5
+        first = link.send(wire.MSG_FETCH, wire.pack_identified("a"), deadline)
+        second = link.send(wire.MSG_FETCH, wire.pack_identified("b"), deadline)
+        assert not first.done() and not second.done()
+        both_sent.set()
+        for fut, values in ((first, [1, 2, 3]), (second, [4, 5])):
+            rtype, rpayload = fut.result(timeout=5)
+            assert rtype == wire.MSG_SHARE
+            assert deserialize_share_vector(rpayload).values.tolist() == values
+    finally:
+        both_sent.set()
+        stop([link], [srv])
+
+
+def test_tcp_stragglers_are_read_without_another_request():
+    # Server 4 answers each QUERY late, after the quorum query returned.
+    cfg = ProtocolConfig(scheme=SCHEME, threshold=0.5, timeout_ms=5000)
+    counts = {"send": 0, "recv": 0}
+    lock = threading.Lock()
+
+    def observer(point, direction, frame):
+        with lock:
+            counts[direction] += 1
+
+    servers = []
+    for u in SCHEME.evaluation_points:
+        cloud = CloudServer(u, cfg)
+        if u == 4:
+            inner = cloud.handle
+
+            def slow_query(ftype, payload, inner=inner):
+                if ftype == wire.MSG_QUERY:
+                    time.sleep(0.2)
+                return inner(ftype, payload)
+
+            cloud.handle = slow_query
+        servers.append(start_server(cloud))
+    links = [
+        TcpLink(u, srv.server_address, cfg.timeout_ms, observer=observer)
+        for u, srv in zip(SCHEME.evaluation_points, servers)
+    ]
+    try:
+        base, near, _ = sample_pair(34)
+        enroll(base, "cam", cfg, links, random.Random(1))
+        res = query_residual(near, "cam", cfg, links, random.Random(2))
+        assert sorted(res.server_subset) == [1, 2, 3]
+        with lock:
+            assert counts["recv"] < counts["send"] == 8
+        deadline = time.monotonic() + 5
+        while time.monotonic() < deadline:
+            with lock:
+                if counts["recv"] == counts["send"]:
+                    break
+            time.sleep(0.005)
+        assert counts == {"send": 8, "recv": 8}
+    finally:
+        stop(links, servers)
+
+
+def test_tcp_concurrent_senders_each_get_their_own_reply():
+    # More sender threads than cores, switching often, on two links that
+    # share the TcpLink-io thread: a reply matched to the wrong request
+    # shows as another id's share.
+    clouds = [CloudServer(u, CFG) for u in (1, 2)]
+    for cloud in clouds:
+        for k in range(8):
+            cloud.store.put(f"id{k}", ShareVector(cloud.point, [k] * (k + 1)))
+    servers = [start_server(cloud) for cloud in clouds]
+    links = [TcpLink(c.point, srv.server_address) for c, srv in zip(clouds, servers)]
+    wrong = []
+
+    def sender(seed):
+        rng = random.Random(seed)
+        for _ in range(40):
+            link, k = rng.choice(links), rng.randrange(8)
+            _, rpayload = link.request(wire.MSG_FETCH, wire.pack_identified(f"id{k}"))
+            vec = deserialize_share_vector(rpayload)
+            if (vec.point, vec.values.tolist()) != (link.point, [k] * (k + 1)):
+                wrong.append((link.point, k))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=sender, args=(seed,)) for seed in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        stop(links, servers)
+    assert wrong == []
+
+
+def test_tcp_server_that_never_reads_costs_queries_no_wait():
+    # A 512x512 QUERY frame is 2 MiB, more than the loopback socket
+    # buffers take: the rest waits for a server that never accepts.
+    cfg = ProtocolConfig(scheme=SCHEME, threshold=0.5, timeout_ms=2000)
+    servers = [start_server(CloudServer(u, cfg)) for u in SCHEME.evaluation_points]
+    links = [
+        TcpLink(u, srv.server_address, cfg.timeout_ms)
+        for u, srv in zip(SCHEME.evaluation_points, servers)
+    ]
+    silent = socket.socket()
+    silent.bind(("127.0.0.1", 0))
+    silent.listen(1)
+    try:
+        base, near, _ = sample_pair(35, shape=(512, 512))
+        enroll(base, "cam", cfg, links, random.Random(1))
+        links[3].close()
+        links[3] = TcpLink(4, silent.getsockname(), cfg.timeout_ms)
+        for i in range(3):
+            t0 = time.monotonic()
+            res = query_residual(near, "cam", cfg, links, random.Random(2 + i))
+            assert time.monotonic() - t0 < 0.5
+            assert sorted(res.server_subset) == [1, 2, 3]
+    finally:
+        silent.close()
+        stop(links, servers)
+
+
+def test_tcp_links_share_one_io_thread():
+    scheme = ShareScheme(l=2, n=6)
+    cfg = ProtocolConfig(scheme=scheme, threshold=0.5)
+    servers = [start_server(CloudServer(u, cfg)) for u in scheme.evaluation_points]
+    links = [
+        TcpLink(u, srv.server_address, cfg.timeout_ms)
+        for u, srv in zip(scheme.evaluation_points, servers)
+    ]
+    try:
+        base, near, _ = sample_pair(36)
+        enroll(base, "cam", cfg, links, random.Random(1))
+        query_residual(near, "cam", cfg, links, random.Random(2))
+        (io,) = link_threads()
+        assert io.name == "TcpLink-io"
+        for link in links[:-1]:
+            link.close()
+            assert io.is_alive()
+        links[-1].close()
+        assert not io.is_alive()
+        assert link_threads() == []
+    finally:
+        stop(links, servers)
+
+
+def test_tcp_request_fails_at_its_deadline_and_drops_the_connection():
+    silent = socket.socket()
+    silent.bind(("127.0.0.1", 0))
+    silent.listen(1)
+    silent.settimeout(5)
+    hung_up = []
+
+    def never_answer():
+        conn, _ = silent.accept()
+        with conn, conn.makefile("rb") as fh:
+            conn.settimeout(5)
+            wire.read_frame(fh)
+            hung_up.append(conn.recv(1) == b"")
+
+    script = threading.Thread(target=never_answer)
+    script.start()
+    link = TcpLink(1, silent.getsockname(), timeout_ms=5000)
+    try:
+        t0 = time.monotonic()
+        fut = link.send(wire.MSG_FETCH, wire.pack_identified("x"), t0 + 0.2)
+        with pytest.raises(TransportError, match="server 1: no reply by the deadline"):
+            fut.result(timeout=2)
+        assert time.monotonic() - t0 < 1.0
+        script.join(5)
+        assert not script.is_alive()
+        assert hung_up == [True]
+    finally:
+        link.close()
+        silent.close()
+
+
+@pytest.mark.parametrize(
+    "reply, failure",
+    [
+        (wire.encode_frame(wire.MSG_SHARE) * 2, None),  # one reply, one unsolicited
+        (b"\x00\x00\x00\x00", "frame length must cover the type byte"),
+    ],
+    ids=["unsolicited", "bad-length"],
+)
+def test_tcp_bad_stream_fails_that_link_only(tcp_cluster, reply, failure):
+    fake = socket.socket()
+    fake.bind(("127.0.0.1", 0))
+    fake.listen(1)
+    fake.settimeout(5)
+    hung_up = []
+
+    def answer_once():
+        conn, _ = fake.accept()
+        with conn, conn.makefile("rb") as fh:
+            conn.settimeout(5)
+            wire.read_frame(fh)
+            conn.sendall(reply)
+            hung_up.append(conn.recv(1) == b"")
+
+    script = threading.Thread(target=answer_once)
+    script.start()
+    odd = TcpLink(4, fake.getsockname())
+    try:
+        fut = odd.send(wire.MSG_FETCH, wire.pack_identified("x"), time.monotonic() + 5)
+        if failure is None:
+            assert fut.result(timeout=5) == (wire.MSG_SHARE, b"")
+        else:
+            with pytest.raises(TransportError, match=f"server 4: {failure}"):
+                fut.result(timeout=5)
+        script.join(5)
+        assert not script.is_alive()
+        assert hung_up == [True]
+        for link in tcp_cluster:
+            rtype, _ = link.request(wire.MSG_FETCH, wire.pack_identified("ghost"))
+            assert rtype == wire.MSG_ERROR
+    finally:
+        odd.close()
+        fake.close()
+
+
 class _SerialTcpCloudServer(TcpCloudServer):
     """Serves one connection at a time on its serve_forever thread, so a
     hung request holds that thread and later connections wait unserved.
@@ -1081,8 +1354,8 @@ def test_tcp_hung_server_costs_no_thread_per_query():
         for u, srv in zip(SCHEME.evaluation_points, servers)
     ]
     try:
-        # Connect every link with a direct request, which starts no link
-        # worker, so that the baseline holds each server's handler thread.
+        # Connect every link with a direct request, so that the baseline
+        # holds each server's handler thread and the TcpLink-io thread.
         for link in links:
             rtype, _ = link.request(wire.MSG_FETCH, wire.pack_identified("ghost"))
             assert rtype == wire.MSG_ERROR
