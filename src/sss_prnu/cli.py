@@ -83,6 +83,14 @@ def _echo_config(args, cfg: ProtocolConfig, seed: Optional[int]) -> None:
     _emit("seed", seed if seed is not None else "none")
 
 
+def _address(text: str, what: str, lowest: int) -> tuple[str, int]:
+    """Split host:port, refusing a port outside lowest..65535."""
+    host, _, port = text.rpartition(":")
+    if not host or not port.isdigit() or not lowest <= int(port) <= 65535:
+        raise ValueError(f"bad {what} {text!r}: need host:port, port {lowest}-65535")
+    return host, int(port)
+
+
 @contextmanager
 def _links(args, cfg: ProtocolConfig):
     """The links to `--servers` or to a `--store-root` cluster, closed on
@@ -93,12 +101,9 @@ def _links(args, cfg: ProtocolConfig):
             raise ValueError(
                 f"--servers lists {len(parts)} endpoints, scheme needs {cfg.scheme.n}"
             )
-        links = []
-        for point, endpoint in zip(cfg.scheme.evaluation_points, parts):
-            host, _, port = endpoint.rpartition(":")
-            if not host or not port.isdigit():
-                raise ValueError(f"bad server endpoint {endpoint!r}")
-            links.append(TcpLink(point, (host, int(port)), cfg.timeout_ms))
+        addresses = [_address(endpoint, "server endpoint", 1) for endpoint in parts]
+        points = cfg.scheme.evaluation_points
+        links = [TcpLink(u, a, cfg.timeout_ms) for u, a in zip(points, addresses)]
     elif args.store_root:
         links = LocalCluster(cfg, store_root=args.store_root).links
     else:
@@ -231,12 +236,10 @@ def cmd_serve(args) -> int:
     cfg = _make_config(args)
     if args.point not in cfg.scheme.evaluation_points:
         raise ValueError(f"--point {args.point} is not one of the scheme's points")
-    host, _, port = args.listen.rpartition(":")
-    if not host or not port.isdigit():
-        raise ValueError(f"bad --listen address {args.listen!r}")
+    address = _address(args.listen, "--listen address", 0)
     store = ServerStore(args.point, cfg.scheme.field, args.store)
     server = CloudServer(args.point, cfg, store)
-    with TcpCloudServer((host, int(port)), server) as srv:
+    with TcpCloudServer(address, server) as srv:
         bound_host, bound_port = srv.server_address[:2]
         _emit("point", args.point)
         _emit("listening", f"{bound_host}:{bound_port}")

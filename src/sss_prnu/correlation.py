@@ -25,8 +25,9 @@ fingerprint and the querier its residual, so `prepare_vector`
 subtracts the mean before anything is encoded or shared.  The servers
 only ever sum products of centered values.
 
-All field values are exact fixed-point integers, so under the capacity
-bound the reconstructed sums equal the plaintext sums bit for bit.
+All field values are exact fixed-point integers.  `prepare_vector`
+holds each owner's square sum within (p-1)/2, and |P| <= sqrt(Q * R),
+so the reconstructed sums equal the plaintext sums bit for bit.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fixedpoint import Scaling, capacity_check, encode_vector
+from .fixedpoint import CapacityExceeded, OutOfRange, Scaling, encode_vector, round_half_away
 from .prnu import DegenerateInput
 from .sharing import (
     InsufficientShares,
@@ -96,24 +97,31 @@ def prepare_vector(
     rng: Optional[random.Random] = None,
 ) -> tuple[list[ShareVector], int]:
     """Center a matrix, encode it into fixed point and split it into n
-    share vectors.
+    share vectors, with the exact square sum R = sum(q * q) of the shared
+    integers q: for a query residual, the R of r.
 
-    Also returns the square sum R = sum(m * m) over the shared integers
-    m.  For a query residual it is the R of r.
+    Raises CapacityExceeded if R > (p-1)/2 or N * max|q|**2 >= 2**64.
     """
     flat = np.asarray(m, dtype=np.float64).ravel()
     if flat.size == 0:
         raise ValueError("cannot share an empty matrix")
-    mean = flat.mean()
-    # max |x - mean| with no N-sized temporary: x - mean rounds
-    # monotonically in x, so its extremes are those of the max and the min.
-    max_centered = max(float(flat.max() - mean), float(mean - flat.min()))
-    # Half a unit of rounding slack per element, in plaintext units.
-    capacity_check(int(flat.size), max_centered + 0.5 / s.scale, s, scheme.field)
-    # The centered copy is freed before the share pass starts.  The
-    # capacity check bounds the square sum below 2**60, so its value
-    # mod 2**64 is the exact integer.
-    secrets, squares = encode_vector(flat - mean, s, scheme.field)
+    # NaN, inf and float overflow raise OutOfRange below, with no warning.
+    with np.errstate(invalid="ignore", over="ignore"):
+        mean = float(flat.mean())
+        if not math.isfinite(mean):  # a NaN or an inf anywhere
+            bad = flat[~np.isfinite(flat)]
+            raise OutOfRange(f"cannot encode {bad[0] if bad.size else 'an overflowing sum'}")
+        hi, lo = float(flat.max()) - mean, float(flat.min()) - mean
+        # The centered copy is freed before the share pass starts.
+        secrets, squares = encode_vector(flat - mean, s, scheme.field)
+    # x - mean, the scaling and the rounding are monotone, so the extreme
+    # integers, which encode_vector has bounded, come from the max and the
+    # min.  Below N * peak**2 < 2**64 the square sum mod 2**64 is exact.
+    peak = max(round_half_away(hi * s.scale), -round_half_away(lo * s.scale))
+    half, exact = scheme.field.half, flat.size * peak * peak < 2**64
+    if not exact or squares > half:
+        total = squares if exact else f"up to {flat.size * peak * peak}"
+        raise CapacityExceeded(f"capacity bound violated: square sum {total}, bound {half}")
     return share_vector(secrets, scheme, rng), squares
 
 

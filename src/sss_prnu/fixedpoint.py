@@ -11,7 +11,8 @@ the mean before it encodes, so the shared integers are already centered.
 
 All of the encrypted-domain arithmetic is exact as long as every
 intermediate integer stays within the signed range (-(p-1)/2, (p-1)/2];
-`capacity_check` verifies that bound before any data is shared.
+`correlation.prepare_vector` checks each owner's exact square sum against
+it before any data is shared.
 """
 
 from __future__ import annotations
@@ -28,28 +29,8 @@ class OutOfRange(ValueError):
     """Value too large to encode at the requested scale."""
 
 
-@dataclass(frozen=True)
-class CapacityReport:
-    """Outcome of a capacity check: the bound, the demand, and the margin."""
-
-    bound: int
-    required: float
-    margin: float
-
-    @property
-    def ok(self) -> bool:
-        return self.required < self.bound
-
-
 class CapacityExceeded(ValueError):
     """Raised when intermediate sums could leave the signed range."""
-
-    def __init__(self, report: CapacityReport):
-        self.report = report
-        super().__init__(
-            f"capacity bound violated: need {report.required:.4g}, "
-            f"bound {report.bound}"
-        )
 
 
 @dataclass(frozen=True)
@@ -109,23 +90,3 @@ def encode_vector(
     lift &= field.p
     q += lift
     return u, squares
-
-
-def capacity_check(
-    num_elements: int, max_abs: float, s: Scaling, field: PrimeField
-) -> CapacityReport:
-    """Verify that the correlation sums cannot overflow the signed range.
-
-    max_abs is the largest centered magnitude in real units.  Each of
-    the three sums is bounded by num_elements * (10**d * max_abs)**2.
-
-    Returns the report on success, raises CapacityExceeded otherwise.
-    """
-    per_element = s.scale * max_abs
-    required = num_elements * per_element**2
-    bound = field.half
-    margin = math.inf if required == 0 else bound / required
-    report = CapacityReport(bound=bound, required=required, margin=margin)
-    if not report.ok:
-        raise CapacityExceeded(report)
-    return report

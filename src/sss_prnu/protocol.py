@@ -152,12 +152,12 @@ class ServerStore:
     """One server's share database: fingerprint id -> ShareVector.
 
     Optionally persistent: one file per id under `directory`, named by
-    the hex of the id so arbitrary ids stay filesystem-safe.  A file that
-    does not parse, holds another point's share or holds values outside
-    `field` is logged and skipped, so one bad file cannot keep the server
-    from starting.  A `.share.tmp` file left by a `put` that crashed
-    before its `os.replace` is removed: the `.share` file, if any, is the
-    authoritative copy.  All mutations go through one lock.
+    the hex of the id so arbitrary ids stay filesystem-safe.  An entry
+    that cannot be read or parsed, or holds another point's share or
+    values outside `field`, is logged and skipped, so one bad file cannot
+    keep the server from starting.  A `.share.tmp` file left by a `put`
+    that crashed before its `os.replace` is removed: the `.share` file,
+    if any, is the authoritative copy.  All mutations go through one lock.
     """
 
     def __init__(self, point: int, field: PrimeField, directory: Optional[str] = None):
@@ -182,7 +182,7 @@ class ServerStore:
                     if len(vec) and int(vec.values.max()) >= field.p:
                         raise ValueError(f"share values outside Z_{field.p}")
                     self._vectors[fid] = vec
-                except ValueError as exc:
+                except (ValueError, OSError) as exc:
                     _log.warning("skipping share file %s in %s: %s", name, directory, exc)
 
     def _path(self, fid: str) -> str:

@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 
 import sss_prnu
+from conftest import oracle_sums
 from sss_prnu import (
     CloudServer,
     GaussianDenoiser,
     PrimeField,
     ProtocolConfig,
+    Scaling,
     ServerStore,
     ShareScheme,
     TcpCloudServer,
@@ -321,6 +323,40 @@ def test_missing_transport_is_usage_error(dataset, capsys):
     )
     assert code == 2
     assert "store-root" in err
+
+
+def test_enroll_over_capacity_is_usage_error(dataset, tmp_path, capsys):
+    # Under p = 1000000007 the bound (p-1)/2 is 500000003, below the
+    # fingerprint's exact square sum at d = 4; the error gives both.
+    fp = read_nmat(dataset["fp"])
+    squares = oracle_sums(fp, fp, Scaling(4))[1]
+    code, _, err = run_cli(
+        ["enroll", "--fingerprint", dataset["fp"], "--id", "cam00",
+         "--store-root", str(tmp_path / "cluster"), "--prime", "1000000007"],
+        capsys,
+    )
+    assert code == 2
+    assert f"error=capacity bound violated: square sum {squares}, bound 500000003" in err
+
+
+def test_out_of_range_ports_are_usage_errors(dataset, tmp_path, capsys):
+    # A port past 65535 used to wrap (70000 dialed 4464), and --listen
+    # died with an OverflowError traceback.
+    for bad in ("127.0.0.1:70000", "127.0.0.1:0"):
+        servers = ",".join([bad, "127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3"])
+        code, _, err = run_cli(
+            ["enroll", "--fingerprint", dataset["fp"], "--id", "cam00", "--servers", servers],
+            capsys,
+        )
+        assert code == 2
+        assert f"error=bad server endpoint {bad!r}" in err
+    store = tmp_path / "store"
+    code, _, err = run_cli(
+        ["serve", "--point", "1", "--listen", "127.0.0.1:70000", "--store", str(store)], capsys
+    )
+    assert code == 2
+    assert "error=bad --listen address '127.0.0.1:70000'" in err
+    assert not store.exists()
 
 
 def test_query_returns_past_a_silent_server(dataset, capsys):

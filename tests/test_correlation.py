@@ -1,4 +1,6 @@
+import math
 import random
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -12,12 +14,14 @@ from sss_prnu import (
     InsufficientShares,
     LengthMismatch,
     NegativeSquareSum,
+    OutOfRange,
     PointMismatch,
     PrimeField,
     Scaling,
     ShareScheme,
     compute_partials,
     deserialize_partial,
+    encode_vector,
     finalize,
     prepare_vector,
     reconstruct_partials,
@@ -83,6 +87,42 @@ def test_prepare_rejects_empty_and_oversized():
     huge = np.ones((64, 64)) * 1e6
     with pytest.raises(CapacityExceeded):
         prepare_vector(huge * np.random.default_rng(2).uniform(0.5, 1, (64, 64)), Scaling(8), SCHEME)
+
+
+def test_prepare_names_a_non_finite_value():
+    # Checked before any subtraction, so +inf beside -inf warns nowhere;
+    # nor does a finite value whose scaling overflows.
+    for values, message in (
+        ([1.0, math.nan, -1.0], "cannot encode nan$"),
+        ([1.0, math.inf, -1.0], "cannot encode inf$"),
+        ([1.0, -math.inf, -1.0], "cannot encode -inf$"),
+        ([math.inf, -math.inf], "cannot encode inf$"),
+        ([1e305, -1e305], r"\|1e\+305\| scaled by 10\^4"),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfRange, match=message):
+                prepare_vector(np.array(values), S4, SCHEME)
+
+
+def test_prepare_capacity_is_the_exact_square_sum():
+    # With p = 257 the bound (p-1)/2 is 128.  At d = 1, [0.8, -0.8]
+    # encodes to +-8, whose square sum 128 sits on the bound; +-1 more
+    # makes 130.
+    scheme = ShareScheme(l=2, n=4, field=PrimeField(257))
+    _, r_int = prepare_vector(np.array([0.8, -0.8]), Scaling(1), scheme, random.Random(1))
+    assert r_int == 128
+    with pytest.raises(CapacityExceeded, match="square sum 130, bound 128$"):
+        prepare_vector(np.array([0.8, -0.8, 0.1, -0.1]), Scaling(1), scheme)
+
+
+def test_prepare_refuses_a_wrapped_square_sum():
+    # +-2**32 squares to 2**64, so the uint64 square sum wraps to 0, but
+    # N * max|q|**2 = 2**65 reaches 2**64 and refuses it.
+    x = np.array([2**32 / 10, -(2**32) / 10])
+    assert encode_vector(x, Scaling(1), SCHEME.field)[1] == 0
+    with pytest.raises(CapacityExceeded, match=f"square sum up to {2**65}, bound"):
+        prepare_vector(x, Scaling(1), SCHEME)
 
 
 def test_constant_input_is_degenerate():

@@ -5,11 +5,9 @@ import numpy as np
 import pytest
 
 from sss_prnu import (
-    CapacityExceeded,
     OutOfRange,
     PrimeField,
     Scaling,
-    capacity_check,
     encode_vector,
     round_half_away,
 )
@@ -77,32 +75,6 @@ def test_scaling_validation():
 def test_encode_out_of_range():
     with pytest.raises(OutOfRange):
         encode([1e18], Scaling(4))
-
-
-def test_capacity_reference_values():
-    # 64x64 at d=4 with unit-bounded entries is comfortably inside.
-    report = capacity_check(4096, 1.0, Scaling(4), FIELD)
-    assert report.required == 4096 * (10**4) ** 2
-    assert report.required == pytest.approx(4.096e11)
-    assert report.ok
-    assert report.bound == (FIELD.p - 1) // 2
-
-
-def test_capacity_overflow():
-    with pytest.raises(CapacityExceeded) as exc_info:
-        capacity_check(10**12, 1.0, Scaling(4), FIELD)
-    assert not exc_info.value.report.ok
-
-
-def test_capacity_edge():
-    # Unit data at d=4 needs N * 10**8 <= (p-1)/2: the last element count
-    # that fits is 11,529,215,046 and the next one overflows.
-    last = FIELD.half // 10**8
-    report = capacity_check(last, 1.0, Scaling(4), FIELD)
-    assert report.required == last * 10**8
-    with pytest.raises(CapacityExceeded):
-        capacity_check(last + 1, 1.0, Scaling(4), FIELD)
-    capacity_check(328 * 328, 1.0, Scaling(4), FIELD)
 
 
 def test_exact_homomorphism_on_quantized_rationals():

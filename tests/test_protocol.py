@@ -37,6 +37,7 @@ from sss_prnu import (
     deserialize_share_vector,
     enroll,
     estimate_fingerprint,
+    extract_residual,
     fetch_share,
     flip_one_element,
     prepare_vector,
@@ -293,6 +294,21 @@ def test_query_refuses_a_tampered_store_instead_of_impossible_r():
     cluster.tamper_stored(2, "cam", flip_one_element(random.Random(4), SCHEME.field.p))
     with pytest.raises(InconsistentSums, match="Cauchy-Schwarz"):
         query(cam.shoot(), "cam", cfg, cluster.links, random.Random(0))
+
+
+def test_fine_scaling_round_trip_is_exact():
+    # At d = 6 this fingerprint's exact square sum, 8.7e16, is 13x inside
+    # (p-1)/2, while N * (10**d * max|x - mean|)**2 is past it: the guard
+    # admits it, and r stays equal to the integer oracle.
+    cfg = ProtocolConfig(scheme=SCHEME, threshold=0.5, scaling=Scaling(6))
+    cam = SyntheticCamera.create(128, 128, seed=1)
+    fp = estimate_fingerprint([cam.shoot() for _ in range(8)], cfg.denoiser)
+    residual = extract_residual(cam.shoot(), cfg.denoiser)
+    cluster = make_cluster(cfg)
+    enroll(fp, "cam", cfg, cluster.links, random.Random(1))
+    res = query_residual(residual, "cam", cfg, cluster.links, random.Random(2))
+    assert (res.r, res.p_val, res.q_val, res.r_val) == oracle_correlation(fp, residual, cfg.scaling)
+    assert res.matched
 
 
 class LyingLink:
@@ -605,12 +621,16 @@ def test_store_skips_unreadable_files(tmp_path, caplog):
     # point: its body of 8 * count + 1 bytes never fits the header's count.
     old_layout = "cam-e".encode("utf-8").hex() + ".share"
     (tmp_path / old_layout).write_bytes(struct.pack(">QBI3Q", 2, 1, 3, 5, 6, 7))
+    # An entry that cannot be opened as a file: root ignores file modes,
+    # so a directory stands in for an unreadable file.
+    directory = "cam-f".encode("utf-8").hex() + ".share"
+    (tmp_path / directory).mkdir()
     with caplog.at_level("WARNING", logger="sss_prnu.protocol"):
         reloaded = ServerStore(2, SCHEME.field, str(tmp_path))
     assert reloaded.ids() == ["cam-a"]
     assert reloaded.get("cam-a") == good
     warned = " ".join(record.getMessage() for record in caplog.records)
-    for name in (truncated, "not-hex.share", "ff.share", other, outside, old_layout):
+    for name in (truncated, "not-hex.share", "ff.share", other, outside, old_layout, directory):
         assert name in warned
 
 
@@ -791,7 +811,8 @@ def test_enroll_computes_no_dot_products(monkeypatch):
     cluster = make_cluster()
     base, near, _ = sample_pair(30)
     enroll(base, "cam", CFG, cluster.links, random.Random(1))
-    # The only one is the fingerprint's own square sum, in `encode_vector`.
+    # The only one is the fingerprint's own square sum Q, in `encode_vector`,
+    # which `prepare_vector` checks against the capacity bound.
     assert dots == {"client": 1, "server": 0}
     # Every server answers inline.  The first query fills each server's
     # cache (6 dots for the stored square beside the cross sum's 9); later
