@@ -5,29 +5,29 @@ products over a mean-centered fingerprint a and query residual b:
 
     P = sum(a_k * b_k)    Q = sum(a_k * a_k)    R = sum(b_k * b_k)
 
-R involves the query alone.  The querier holds its residual in the
-clear, so `prepare_vector` takes R exactly from the same fixed-point
-integers it shares.  P and Q need the fingerprint, which only the cloud
-servers hold, in shares.  Each server holds one share of a and one
-share of b, multiplies them elementwise (the single multiplication the
-sharing scheme allows), and sums locally (`PrimeField.sum_products`);
-the stored share's Q share does not depend on the query, so a server
-caches it.  The per-server partial sums are shares of P and Q at the
-doubled degree, so a quorum of 2l-1 partials reconstructs the exact
-integer sums.  The types allow no second multiplication:
+Q and R each involve one owner's input alone, and each owner holds its
+input in the clear, so each takes its own square sum exactly from the
+fixed-point integers it shares.  The querier keeps R (`prepare_vector`).
+The fingerprint source shares Q with the fingerprint
+(`prepare_fingerprint`): each stored share vector holds the N encoded
+values followed by a share of Q, all at degree l-1.  Only P needs both
+inputs.  Each server holds one share of a and one share of b,
+multiplies them elementwise (the single multiplication the sharing
+scheme allows) and sums locally (`PrimeField.dot`); its P share has the
+doubled degree 2l-2, so a quorum of 2l-1 partials reconstructs the
+exact integer sums.  A server sums no square and keeps no state beyond
+its store.  The types allow no second multiplication:
 `compute_partials` takes two fresh `ShareVector`s and returns a
 `PartialCorrelation` of two scalars, and nothing turns a partial back
 into a share vector.  Only the final division and square root happen in
 plaintext, on the reconstructing side.
 
-Each owner holds its input in the clear, the fingerprint source its
-fingerprint and the querier its residual, so `prepare_vector`
-subtracts the mean before anything is encoded or shared.  The servers
-only ever sum products of centered values.
+Each owner subtracts its own mean before anything is encoded or shared,
+so the servers only ever sum products of centered values.
 
-All field values are exact fixed-point integers.  `prepare_vector`
-holds each owner's square sum within (p-1)/2, and |P| <= sqrt(Q * R),
-so the reconstructed sums equal the plaintext sums bit for bit.
+All field values are exact fixed-point integers.  Each owner holds its
+square sum within (p-1)/2, and |P| <= sqrt(Q * R), so the reconstructed
+sums equal the plaintext sums bit for bit.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .field import PrimeField
 from .fixedpoint import CapacityExceeded, OutOfRange, Scaling, encode_vector, round_half_away
 from .prnu import DegenerateInput
 from .sharing import (
@@ -68,7 +69,7 @@ class NegativeSquareSum(InconsistentSums):
 
 @dataclass(frozen=True)
 class PartialCorrelation:
-    """One server's contribution: shares of P and Q at degree 2l-2."""
+    """One server's contribution: its P share (degree 2l-2), its stored Q share (l-1)."""
 
     point: int
     p_share: int
@@ -90,17 +91,12 @@ class MatchResult:
         return (self.r, self.p_val, self.q_val, self.r_val, self.threshold, self.matched)
 
 
-def prepare_vector(
-    m: np.ndarray,
-    s: Scaling,
-    scheme: ShareScheme,
-    rng: Optional[random.Random] = None,
-) -> tuple[list[ShareVector], int]:
-    """Center a matrix, encode it into fixed point and split it into n
-    share vectors, with the exact square sum R = sum(q * q) of the shared
-    integers q: for a query residual, the R of r.
+def _encode_checked(m: np.ndarray, s: Scaling, field: PrimeField) -> tuple[np.ndarray, int]:
+    """Center a matrix and encode it into fixed point: the `uint64` field
+    vector of the integers q, and their exact square sum, sum(q * q).
 
-    Raises CapacityExceeded if R > (p-1)/2 or N * max|q|**2 >= 2**64.
+    Raises CapacityExceeded if that sum exceeds (p-1)/2 or
+    N * max|q|**2 >= 2**64.
     """
     flat = np.asarray(m, dtype=np.float64).ravel()
     if flat.size == 0:
@@ -113,38 +109,59 @@ def prepare_vector(
             raise OutOfRange(f"cannot encode {bad[0] if bad.size else 'an overflowing sum'}")
         hi, lo = float(flat.max()) - mean, float(flat.min()) - mean
         # The centered copy is freed before the share pass starts.
-        secrets, squares = encode_vector(flat - mean, s, scheme.field)
+        secrets, squares = encode_vector(flat - mean, s, field)
     # x - mean, the scaling and the rounding are monotone, so the extreme
     # integers, which encode_vector has bounded, come from the max and the
     # min.  Below N * peak**2 < 2**64 the square sum mod 2**64 is exact.
     peak = max(round_half_away(hi * s.scale), -round_half_away(lo * s.scale))
-    half, exact = scheme.field.half, flat.size * peak * peak < 2**64
+    half, exact = field.half, flat.size * peak * peak < 2**64
     if not exact or squares > half:
         total = squares if exact else f"up to {flat.size * peak * peak}"
         raise CapacityExceeded(f"capacity bound violated: square sum {total}, bound {half}")
+    return secrets, squares
+
+
+def prepare_vector(
+    m: np.ndarray,
+    s: Scaling,
+    scheme: ShareScheme,
+    rng: Optional[random.Random] = None,
+) -> tuple[list[ShareVector], int]:
+    """The querier's side: n share vectors of a centered, encoded residual
+    and its exact square sum R, under `_encode_checked`'s capacity bound."""
+    secrets, squares = _encode_checked(m, s, scheme.field)
     return share_vector(secrets, scheme, rng), squares
 
 
-def compute_partials(
-    a: ShareVector, b: ShareVector, scheme: ShareScheme, q: Optional[int] = None
-) -> PartialCorrelation:
-    """One server's local work: the sums of elementwise share products.
+def prepare_fingerprint(
+    m: np.ndarray,
+    s: Scaling,
+    scheme: ShareScheme,
+    rng: Optional[random.Random] = None,
+) -> list[ShareVector]:
+    """The fingerprint source's side: n share vectors of a centered, encoded
+    fingerprint, each followed by a share of its exact square sum Q, under
+    `_encode_checked`'s capacity bound."""
+    secrets, squares = _encode_checked(m, s, scheme.field)
+    return share_vector(np.append(secrets, np.uint64(squares)), scheme, rng)
+
+
+def compute_partials(a: ShareVector, b: ShareVector, scheme: ShareScheme) -> PartialCorrelation:
+    """One server's local work on a stored fingerprint share `a` (N values,
+    then the Q share) and a query share `b` (N values): the P share, the
+    sum of their elementwise products, beside `a`'s Q share.
 
     Runs on one server's pair of shares alone, which must be at the same
-    point and of the same length.  `q` is a's Q share from an earlier
-    partial, which a server caches; without it, Q is summed from the same
-    limb split of a as P.
+    point, with `a` one element longer than `b`.
     """
     if a.point != b.point:
         raise PointMismatch(f"points {a.point} and {b.point} differ")
-    if len(a) != len(b):
-        raise LengthMismatch(f"lengths {len(a)} and {len(b)} differ")
-    f = scheme.field
-    if q is None:
-        q, ab = f.sum_products([a.values, b.values], [(0, 0), (0, 1)])
-    else:
-        (ab,) = f.sum_products([a.values, b.values], [(0, 1)])
-    return PartialCorrelation(point=a.point, p_share=ab, q_share=q)
+    if len(a) != len(b) + 1:
+        raise LengthMismatch(
+            f"query has {len(b)} elements but the fingerprint was enrolled with {len(a) - 1}"
+        )
+    p_share = scheme.field.dot(a.values[:-1], b.values)
+    return PartialCorrelation(point=a.point, p_share=p_share, q_share=int(a.values[-1]))
 
 
 def reconstruct_sum_ints(

@@ -1,8 +1,8 @@
 """Exact arithmetic in a prime field Z_p.
 
 Single field elements are canonical residues: plain Python ints in
-[0, p).  The few scalar operations the protocol needs (`sub`, `mul`,
-`inv`, `signed`) take and return them.
+[0, p).  The two scalar operations the protocol needs (`inv`, `signed`)
+take and return them.
 
 Share vectors are one-dimensional `uint64` ndarrays of canonical
 residues; p < 2**63 keeps a residue, and the sum of two, below 2**64,
@@ -15,17 +15,17 @@ Every per-element product runs on two exact kernels:
     x * w', the wrapping difference x * w - q * p lies in [0, 2p), so one
     conditional subtract finishes it.  Exact for every p < 2**63, every
     w in [0, p) and every x < 2**64.
-  * `sum_products`: sums of products sum_k x_k * y_k mod p over chosen
-    pairs of vectors, by 1-D integer `np.dot`s (no BLAS) of 21-bit
-    limbs, each vector split once per chunk of columns.  Each limb
-    product is below 2**42, so any chunk of up to 2**22 columns stays
-    exact in `uint64`; chunks and limbs recombine in Python ints mod p.
+  * `dot`: the sum of products sum_k x_k * y_k mod p of two vectors,
+    by 1-D integer `np.dot`s (no BLAS) of 21-bit limbs, each vector
+    split once per chunk of columns.  Each limb product is below 2**42,
+    so any chunk of up to 2**22 columns stays exact in `uint64`; chunks
+    and limbs recombine in Python ints mod p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -47,8 +47,8 @@ _SHIFT32 = np.array(32, dtype=ELEMENT_DTYPE)
 _LIMB_BITS = 21
 _LIMB_MASK = np.array((1 << _LIMB_BITS) - 1, dtype=ELEMENT_DTYPE)
 _LIMB_SHIFT = np.array(_LIMB_BITS, dtype=ELEMENT_DTYPE)
-# Elements per pass of the chunked kernels: `mul_scalar`, `sum_products`
-# and share generation.  A chunk of limb dots is exact in uint64, as
+# Elements per pass of the chunked kernels: `mul_scalar`, `dot` and
+# share generation.  A chunk of limb dots is exact in uint64, as
 # (2**21 - 1)**2 * CHUNK < 2**64.
 CHUNK = 1 << 15
 
@@ -166,14 +166,6 @@ class PrimeField:
         """Largest magnitude representable as a signed residue: (p-1)/2."""
         return (self.p - 1) // 2
 
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        # Python ints are arbitrary precision, so the double-width
-        # intermediate needed for a 61-bit modulus is automatic.
-        return a * b % self.p
-
     def inv(self, a: int) -> int:
         """Multiplicative inverse by the extended Euclidean algorithm
         (`pow(a, -1, p)`), several times faster than Fermat's a**(p-2)."""
@@ -236,28 +228,20 @@ class PrimeField:
             _shoup(x[part], multiplier, pv, addend, out[part], scratch[:, :width])
         return out
 
-    def sum_products(
-        self, vectors: Sequence[np.ndarray], pairs: Sequence[tuple[int, int]]
-    ) -> list[int]:
-        """[sum_k u_k * v_k mod p for u, v = vectors[i], vectors[j], for each
-        (i, j) in pairs], exactly, by 1-D integer dots of 21-bit limbs per
-        chunk of CHUNK columns; every vector is split into limbs once per
-        chunk, and limbs and chunks recombine in Python ints.
+    def dot(self, x: np.ndarray, y: np.ndarray) -> int:
+        """sum_k x_k * y_k mod p, exactly, by 1-D integer dots of 21-bit
+        limbs per chunk of CHUNK columns; each vector is split into limbs
+        once per chunk, and limbs and chunks recombine in Python ints.
         """
-        length = len(vectors[0])
-        if any(len(v) != length for v in vectors):
+        if len(x) != len(y):
             raise ValueError("vectors differ in length")
-        if length and max(int(v.max()) for v in vectors) >= self.p:
+        if len(x) and max(int(x.max()), int(y.max())) >= self.p:
             raise ValueError(f"vectors hold values outside Z_{self.p}")
-        sums = [0] * len(pairs)
-        for start in range(0, length, CHUNK):
-            limbs = [_limbs(v[start : start + CHUNK]) for v in vectors]
-            for t, (a, b) in enumerate(pairs):
-                xl, yl = limbs[a], limbs[b]
-                # Limb i weighs 2**(21 i).  A square takes each off-diagonal
-                # limb pair once and doubles it by one more bit of shift.
-                for i in range(3):
-                    for j in range(i if a == b else 0, 3):
-                        shift = _LIMB_BITS * (i + j) + (a == b and i != j)
-                        sums[t] += int(np.dot(xl[i], yl[j])) << shift
-        return [v % self.p for v in sums]
+        total = 0
+        for start in range(0, len(x), CHUNK):
+            xl, yl = _limbs(x[start : start + CHUNK]), _limbs(y[start : start + CHUNK])
+            # Limb i weighs 2**(21 i).
+            for i in range(3):
+                for j in range(3):
+                    total += int(np.dot(xl[i], yl[j])) << (_LIMB_BITS * (i + j))
+        return total % self.p

@@ -5,14 +5,14 @@ from zero), and mapped into Z_p with negatives represented as p - |m|.
 Products of two encoded values therefore carry a 10**(2d) scale, which
 `correlation.reconstruct_partials` divides out after the signed lift
 `PrimeField.signed`.  `encode_vector` also returns the sum of squares
-of the signed integers, from which the querier takes its own square sum
-R without any share arithmetic.  `correlation.prepare_vector` subtracts
-the mean before it encodes, so the shared integers are already centered.
+of the signed integers: each owner's own Q or R, without share
+arithmetic.  `correlation.prepare_fingerprint` and `prepare_vector`
+subtract the mean before they encode, so the shared integers are
+already centered.
 
 All of the encrypted-domain arithmetic is exact as long as every
 intermediate integer stays within the signed range (-(p-1)/2, (p-1)/2];
-`correlation.prepare_vector` checks each owner's exact square sum against
-it before any data is shared.
+both check each owner's exact square sum against it before sharing.
 """
 
 from __future__ import annotations

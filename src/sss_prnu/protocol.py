@@ -2,8 +2,8 @@
 
 Entities and their trust boundaries:
 
-  * Fingerprint Source: owns camera fingerprints, shares them out once
-    at enrollment time.
+  * Fingerprint Source: owns camera fingerprints, shares each out once
+    at enrollment time, together with its own square sum Q.
   * Cloud servers (n of them): each stores exactly one share per
     fingerprint and computes partial correlations locally.  They never
     talk to each other and never see plaintext.
@@ -35,6 +35,7 @@ each query at most one wait and never a thread.
 from __future__ import annotations
 
 import contextlib
+import errno
 import logging
 import math
 import os
@@ -59,6 +60,7 @@ from .correlation import (
     compute_partials,
     deserialize_partial,
     finalize,
+    prepare_fingerprint,
     prepare_vector,
     reconstruct_partials,
     reconstruct_sum_ints,
@@ -153,15 +155,16 @@ class ServerStore:
 
     Optionally persistent: one file per id under `directory`, named by
     the hex of the id so arbitrary ids stay filesystem-safe.  An entry
-    that cannot be read or parsed, or holds another point's share or
-    values outside `field`, is logged and skipped, so one bad file cannot
-    keep the server from starting.  A `.share.tmp` file left by a `put`
-    that crashed before its `os.replace` is removed: the `.share` file,
-    if any, is the authoritative copy.  All mutations go through one lock.
+    that cannot be read or parsed, or fails `check`, is logged and
+    skipped, so one bad file cannot keep the server from starting.  A
+    `.share.tmp` file left by a `put` that crashed before its `os.replace`
+    is removed: the `.share` file, if any, is the authoritative copy.  All
+    mutations go through one lock.
     """
 
     def __init__(self, point: int, field: PrimeField, directory: Optional[str] = None):
         self.point = point
+        self.field = field
         self.directory = directory
         self._lock = threading.Lock()
         self._vectors: dict[str, ShareVector] = {}
@@ -178,26 +181,27 @@ class ServerStore:
                 try:
                     fid = bytes.fromhex(name[: -len(".share")]).decode("utf-8")
                     with open(os.path.join(directory, name), "rb") as fh:
-                        vec = self._check_point(deserialize_share_vector(fh.read()))
-                    if len(vec) and int(vec.values.max()) >= field.p:
-                        raise ValueError(f"share values outside Z_{field.p}")
-                    self._vectors[fid] = vec
+                        self._vectors[fid] = self.check(deserialize_share_vector(fh.read()))
                 except (ValueError, OSError) as exc:
                     _log.warning("skipping share file %s in %s: %s", name, directory, exc)
 
     def _path(self, fid: str) -> str:
         return os.path.join(self.directory, fid.encode("utf-8").hex() + ".share")
 
-    def _check_point(self, vec: ShareVector) -> ShareVector:
+    def check(self, vec: ShareVector) -> ShareVector:
+        """`vec`, if it is a share at this store's point with every value
+        in the field; otherwise ValueError."""
         if vec.point != self.point:
-            raise ValueError(f"share for point {vec.point} stored at server {self.point}")
+            raise ValueError(f"share for point {vec.point} at server {self.point}")
+        if len(vec) and int(vec.values.max()) >= self.field.p:
+            raise ValueError(f"share values outside Z_{self.field.p}")
         return vec
 
     def put(self, fid: str, vec: ShareVector) -> None:
         """Store `vec` under `fid`, on disk first: if the write fails, the
         store keeps the old share in memory and on disk, and no temporary
         file is left behind."""
-        self._check_point(vec)
+        self.check(vec)
         with self._lock:
             if self.directory is not None:
                 tmp = self._path(fid) + ".tmp"
@@ -229,7 +233,7 @@ class ServerStore:
 
 
 class CloudServer:
-    """Request handler for one share point; transport-agnostic."""
+    """Request handler for one share point; transport-agnostic, with no state but its store."""
 
     def __init__(self, point: int, cfg: ProtocolConfig, store: Optional[ServerStore] = None):
         if point not in cfg.scheme.evaluation_points:
@@ -237,7 +241,6 @@ class CloudServer:
         self.point = point
         self.cfg = cfg
         self.store = store if store is not None else ServerStore(point, cfg.scheme.field)
-        self._own: dict[str, tuple] = {}  # fid -> (stored vector, its Q share)
 
     def safe_handle(self, ftype: int, payload: bytes) -> tuple[int, bytes]:
         """handle() with every failure mapped to an ERROR frame."""
@@ -259,45 +262,25 @@ class CloudServer:
             wire.ERR_MALFORMED, f"unexpected frame type {ftype:#04x}"
         )
 
-    def _check_vector(self, vec: ShareVector) -> None:
-        if vec.point != self.point:
-            raise wire.FrameError(
-                f"share for point {vec.point} routed to server {self.point}"
-            )
-        if len(vec) and int(vec.values.max()) >= self.cfg.scheme.field.p:
-            raise wire.FrameError("share values outside the field")
-
     def _enroll(self, payload: bytes) -> tuple[int, bytes]:
         fid, rest = wire.unpack_identified(payload)
         vec = deserialize_share_vector(rest)
-        self._own.pop(fid, None)
         if len(vec) == 0:
             # Zero-length vector is the delete marker used for rollback.
             self.store.delete(fid)
             return wire.MSG_ENROLL_ACK, b""
-        self._check_vector(vec)
         self.store.put(fid, vec)
         return wire.MSG_ENROLL_ACK, b""
 
     def _query(self, payload: bytes) -> tuple[int, bytes]:
         fid, rest = wire.unpack_identified(payload)
-        qvec = deserialize_share_vector(rest)
-        self._check_vector(qvec)
+        qvec = self.store.check(deserialize_share_vector(rest))
         stored = self.store.get(fid)
         if stored is None:
             return wire.MSG_ERROR, wire.pack_error(
                 wire.ERR_UNKNOWN_ID, f"no share stored under id {fid!r}"
             )
-        if len(qvec) != len(stored):
-            raise wire.FrameError(
-                f"query has {len(qvec)} elements but id {fid!r} was enrolled with {len(stored)}"
-            )
-        # Cached from the id's first QUERY until its next ENROLL; an entry for
-        # a vector the store no longer holds (tampered, reloaded) is refilled.
-        entry = self._own.get(fid)
-        q = entry[1] if entry is not None and entry[0] is stored else None
-        pc = compute_partials(stored, qvec, self.cfg.scheme, q)
-        self._own[fid] = (stored, pc.q_share)
+        pc = compute_partials(stored, qvec, self.cfg.scheme)
         return wire.MSG_PARTIAL, serialize_partial(pc)
 
     def _fetch(self, payload: bytes) -> tuple[int, bytes]:
@@ -384,8 +367,8 @@ class TcpLink:
         self.address = address
         self.timeout = timeout_ms / 1000.0
         self.observer = observer
-        # _sending orders senders and close(), and covers a blocking
-        # connect; _lock guards what the TcpLink-io thread shares.
+        # _sending orders senders and close(), and covers a connect's
+        # name lookup; _lock guards what the TcpLink-io thread shares.
         self._sending = threading.Lock()
         self._lock = threading.Lock()
         self._sock: Optional[socket.socket] = None
@@ -396,9 +379,19 @@ class TcpLink:
         self._frames = wire.FrameSplitter()
 
     def _connect(self) -> None:
-        sock = socket.create_connection(self.address, timeout=self.timeout)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        sock.setblocking(False)
+        """Start an IPv4 connect, as servers listen, without waiting: frames
+        queue until the TcpLink-io thread finds the socket writable, and a
+        connect that never completes fails at its requests' deadline."""
+        sock = socket.socket()
+        try:
+            sock.setblocking(False)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            err = sock.connect_ex(self.address)
+            if err not in (0, errno.EINPROGRESS):
+                raise OSError(err, os.strerror(err))
+        except BaseException:
+            sock.close()
+            raise
         self._sock = sock
 
     def send(self, ftype: int, payload: bytes, deadline: float) -> Future:
@@ -820,7 +813,7 @@ def enroll(
     links: Sequence,
     rng: Optional[random.Random] = None,
 ) -> tuple[int, ...]:
-    """Share a fingerprint to every server; all-or-nothing.
+    """Share a fingerprint and its square sum Q to every server; all-or-nothing.
 
     The n ENROLLs go out as one `_gather`, and every server must
     acknowledge by its deadline.  Otherwise every server gets a delete
@@ -833,8 +826,8 @@ def enroll(
     fresh connection, and a server still working on that ENROLL can
     store the share after the marker deleted it.
     """
-    _check_request(links, cfg, fid, np.size(fingerprint))
-    vectors, _ = prepare_vector(fingerprint, cfg.scaling, cfg.scheme, rng)
+    _check_request(links, cfg, fid, np.size(fingerprint) + 1)
+    vectors = prepare_fingerprint(fingerprint, cfg.scaling, cfg.scheme, rng)
     records = _gather(links, _enroll_requests(fid, vectors), cfg)
     failed = [(link, result) for link, result in records if isinstance(result, Exception)]
     if failed:

@@ -32,6 +32,7 @@ from sss_prnu import (
     flip_one_element,
     interpolate_vector,
     pearson,
+    prepare_fingerprint,
     prepare_vector,
     query,
     query_residual,
@@ -49,7 +50,7 @@ S4 = Scaling(4)
 def encrypted_r(x, y, rng):
     """Correlation-layer pipeline: share, multiply under encryption,
     reconstruct from the first quorum."""
-    ex, _ = prepare_vector(x, S4, SCHEME, rng)
+    ex = prepare_fingerprint(x, S4, SCHEME, rng)
     ey, r_int = prepare_vector(y, S4, SCHEME, rng)
     parts = [compute_partials(a, b, SCHEME) for a, b in zip(ex, ey)]
     p_val, q_val, r_val = reconstruct_partials(parts[: SCHEME.quorum], r_int, SCHEME, S4)
@@ -128,11 +129,11 @@ def test_criterion_4_product_needs_quorum_and_is_exact():
     prod = [
         ShareVector(
             x.point,
-            [f.mul(u, v) for u, v in zip(x.values.tolist(), y.values.tolist())],
+            [u * v % f.p for u, v in zip(x.values.tolist(), y.values.tolist())],
         )
         for x, y in zip(sa, sb)
     ]
-    want = [f.mul(x, y) for x, y in zip(a, b)]
+    want = [x * y % f.p for x, y in zip(a, b)]
     assert reconstruct_vector(prod[: SCHEME.quorum], SCHEME) == want
     under = interpolate_vector(
         [prod[0].point, prod[1].point], [prod[0].values, prod[1].values], 0, f

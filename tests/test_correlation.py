@@ -23,6 +23,7 @@ from sss_prnu import (
     deserialize_partial,
     encode_vector,
     finalize,
+    prepare_fingerprint,
     prepare_vector,
     reconstruct_partials,
     reconstruct_sum_ints,
@@ -37,7 +38,7 @@ S4 = Scaling(4)
 def run_pipeline(x, y, scaling, scheme=SCHEME, rng=None, subset=None):
     """Full encrypted path, returning (MatchResult, int sums)."""
     rng = rng if rng is not None else random.Random(0)
-    ex, _ = prepare_vector(x, scaling, scheme, rng)
+    ex = prepare_fingerprint(x, scaling, scheme, rng)
     ey, r_int = prepare_vector(y, scaling, scheme, rng)
     parts = [compute_partials(a, b, scheme) for a, b in zip(ex, ey)]
     chosen = parts[: scheme.quorum] if subset is None else [parts[i] for i in subset]
@@ -135,26 +136,36 @@ def test_constant_input_is_degenerate():
             run_pipeline(x, y, S4)
 
 
+def self_partials(x, rng):
+    """Every server's partial of x enrolled and queried against itself,
+    with the querier's own R."""
+    stored = prepare_fingerprint(x, S4, SCHEME, rng)
+    sent, r_int = prepare_vector(x, S4, SCHEME, rng)
+    return [compute_partials(a, b, SCHEME) for a, b in zip(stored, sent)], r_int
+
+
 def test_compute_partials_guards_operands():
-    a, _ = prepare_vector(np.array([0.5, -0.5]), S4, SCHEME, random.Random(7))
-    b, _ = prepare_vector(np.array([0.5, -0.5, 1.0]), S4, SCHEME, random.Random(8))
+    a = prepare_fingerprint(np.array([0.5, -0.5]), S4, SCHEME, random.Random(7))
+    q, _ = prepare_vector(np.array([0.5, -0.5]), S4, SCHEME, random.Random(8))
+    b, _ = prepare_vector(np.array([0.5, -0.5, 1.0]), S4, SCHEME, random.Random(9))
+    assert len(a[0]) == len(q[0]) + 1
     with pytest.raises(PointMismatch):
-        compute_partials(a[0], a[1], SCHEME)
-    with pytest.raises(LengthMismatch):
+        compute_partials(a[0], q[1], SCHEME)
+    with pytest.raises(LengthMismatch, match="query has 3 elements .* enrolled with 2"):
         compute_partials(a[0], b[0], SCHEME)
+    with pytest.raises(LengthMismatch):
+        compute_partials(a[0], a[0], SCHEME)
 
 
 def test_all_zero_inputs_give_zero_sums():
-    z, r_int = prepare_vector(np.zeros(4), S4, SCHEME, rng=random.Random(10))
-    parts = [compute_partials(v, v, SCHEME) for v in z]
+    parts, r_int = self_partials(np.zeros(4), random.Random(10))
     assert reconstruct_sum_ints(parts[:3], r_int, SCHEME) == (0, 0, 0)
 
 
 def test_self_correlation_p_equals_q_equals_r():
     gen = np.random.default_rng(12)
     x = gen.uniform(-1, 1, (6, 6))
-    ex, r_int = prepare_vector(x, S4, SCHEME, rng=random.Random(11))
-    parts = [compute_partials(v, v, SCHEME) for v in ex]
+    parts, r_int = self_partials(x, random.Random(11))
     p, q, r = reconstruct_sum_ints(parts[:3], r_int, SCHEME)
     assert p == q == r
     result, _ = run_pipeline(x, x, S4)
@@ -190,8 +201,7 @@ def test_subset_independence():
 def test_insufficient_partials():
     gen = np.random.default_rng(14)
     x = gen.uniform(-1, 1, (4, 4))
-    ex, r_int = prepare_vector(x, S4, SCHEME, rng=random.Random(12))
-    parts = [compute_partials(v, v, SCHEME) for v in ex]
+    parts, r_int = self_partials(x, random.Random(12))
     with pytest.raises(InsufficientShares):
         reconstruct_partials(parts[:2], r_int, SCHEME, S4)
 
@@ -199,8 +209,7 @@ def test_insufficient_partials():
 def test_negative_square_sum_detection():
     gen = np.random.default_rng(16)
     x = gen.uniform(-1, 1, (4, 4))
-    ex, r_int = prepare_vector(x, S4, SCHEME, rng=random.Random(14))
-    parts = [compute_partials(v, v, SCHEME) for v in ex]
+    parts, r_int = self_partials(x, random.Random(14))
     f = SCHEME.field
     # Force the reconstructed Q negative by shifting one q_share.
     q_int = reconstruct_sum_ints(parts[:3], r_int, SCHEME)[1]
@@ -208,7 +217,7 @@ def test_negative_square_sum_detection():
     bad = type(bad)(
         point=bad.point,
         p_share=bad.p_share,
-        q_share=f.sub(bad.q_share, 3 * q_int % f.p),
+        q_share=(bad.q_share - 3 * q_int) % f.p,
     )
     with pytest.raises(NegativeSquareSum):
         reconstruct_partials([bad] + parts[1:3], r_int, SCHEME, S4)
@@ -218,7 +227,7 @@ def test_cauchy_schwarz_violation_detection():
     gen = np.random.default_rng(17)
     x = gen.uniform(-1, 1, (4, 4))
     y = gen.uniform(-1, 1, (4, 4))
-    ea, _ = prepare_vector(x, S4, SCHEME, rng=random.Random(15))
+    ea = prepare_fingerprint(x, S4, SCHEME, rng=random.Random(15))
     eb, r_int = prepare_vector(y, S4, SCHEME, rng=random.Random(16))
     parts = [compute_partials(a, b, SCHEME) for a, b in zip(ea, eb)]
     p_int, q_int, _ = reconstruct_sum_ints(parts[:3], r_int, SCHEME)
@@ -262,8 +271,7 @@ def test_decision_scale_invariant_across_d():
 def test_partial_serialization_roundtrip():
     gen = np.random.default_rng(18)
     x = gen.uniform(-1, 1, (4, 4))
-    ex, _ = prepare_vector(x, S4, SCHEME, rng=random.Random(15))
-    pc = compute_partials(ex[2], ex[2], SCHEME)
+    pc = self_partials(x, random.Random(15))[0][2]
     raw = serialize_partial(pc)
     assert len(raw) == 24
     assert raw[:8] == (pc.point).to_bytes(8, "big")

@@ -12,7 +12,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import oracle_correlation
+from conftest import oracle_correlation, oracle_sums
 from sss_prnu import (
     CloudServer,
     DimensionMismatch,
@@ -40,6 +40,7 @@ from sss_prnu import (
     extract_residual,
     fetch_share,
     flip_one_element,
+    prepare_fingerprint,
     prepare_vector,
     query,
     query_residual,
@@ -86,7 +87,37 @@ def test_enroll_stores_reconstructible_shares():
     from sss_prnu import round_half_away
 
     expected = [round_half_away(float(v) * CFG.scaling.scale) for v in centered]
-    assert [f.signed(v) for v in rec] == expected
+    assert [f.signed(v) for v in rec[:-1]] == expected
+
+
+@pytest.mark.parametrize("l, n", [(2, 4), (3, 5)])
+def test_stored_shares_end_with_a_share_of_the_oracle_q(l, n):
+    scheme = ShareScheme(l=l, n=n)
+    cfg = ProtocolConfig(scheme=scheme, threshold=0.5)
+    cluster = make_cluster(cfg)
+    base, near, _ = sample_pair(37)
+    enroll(base, "cam", cfg, cluster.links, random.Random(1))
+    last = [ShareVector(u, cluster.servers[u].store.get("cam").values[-1:]) for u in cluster.servers]
+    for subset in combinations(last, l):
+        assert reconstruct_vector(subset, scheme) == [oracle_sums(base, near, cfg.scaling)[1]]
+
+
+@pytest.mark.parametrize("l, n", [(2, 4), (3, 5)])
+def test_q_shares_of_a_quorum_lie_on_one_polynomial_of_degree_l_minus_1(l, n):
+    # A server's Q share is the one the fingerprint source dealt, not a
+    # sum of squared shares, whose degree would be 2l - 2.
+    scheme = ShareScheme(l=l, n=n)
+    cfg = ProtocolConfig(scheme=scheme, threshold=0.5)
+    cluster = make_cluster(cfg)
+    base, near, _ = sample_pair(38)
+    enroll(base, "cam", cfg, cluster.links, random.Random(1))
+    sent, _ = prepare_vector(near, cfg.scaling, scheme, random.Random(2))
+    q = {vec.point: _server_partial(link, "cam", vec).q_share for link, vec in zip(cluster.links, sent)}
+    for subset in combinations(sorted(q), scheme.quorum):
+        base_points, rest = subset[:l], subset[l:]
+        rows = [[q[u]] for u in base_points]
+        for t in rest:
+            assert interpolate_vector(base_points, rows, t, scheme.field).tolist() == [q[t]]
 
 
 def test_enroll_requires_matching_links():
@@ -548,9 +579,10 @@ def test_oversized_share_frame_is_refused_before_sending(transport, request, mon
     sent = []
     for link in links:
         link.observer = lambda point, direction, frame: sent.append(point)
-    # An 8x8 share vector under a 3-byte id makes a 530-byte frame.
+    # An 8x8 query share vector under a 3-byte id makes a 530-byte frame;
+    # the enrolled share's Q share adds 8 bytes.
     monkeypatch.setattr(wire, "MAX_FRAME", 200)
-    with pytest.raises(wire.FrameError, match="frame of 530 bytes exceeds the 200-byte limit"):
+    with pytest.raises(wire.FrameError, match="frame of 538 bytes exceeds the 200-byte limit"):
         enroll(base, "new", CFG, links, random.Random(2))
     with pytest.raises(wire.FrameError, match="frame of 530 bytes exceeds the 200-byte limit"):
         query_residual(near, "cam", CFG, links, random.Random(3))
@@ -568,7 +600,8 @@ def test_servers_refuse_noncanonical_share_values():
     enroll(base, "cam", CFG, cluster.links, random.Random(1))
     link, store = cluster.links[0], cluster.servers[1].store
     before = store.get("cam")
-    # 64 elements, the enrolled length, with the last one equal to p.
+    # 64 elements, the length of the enrolled 8x8 fingerprint's queries,
+    # with the last one equal to p.
     bad = ShareVector(1, [0] * 63 + [SCHEME.field.p])
     for ftype, fid in ((wire.MSG_ENROLL, "cam"), (wire.MSG_ENROLL, "new"), (wire.MSG_QUERY, "cam")):
         rtype, rpayload = link.request(ftype, wire.pack_identified(fid, serialize_share_vector(bad)))
@@ -713,7 +746,7 @@ def _server_partial(link, fid, vec):
     return deserialize_partial(rpayload)
 
 
-def test_cached_own_sums_follow_the_store(tmp_path):
+def test_partials_follow_the_store(tmp_path):
     cfg = CFG
     cluster = make_cluster(store_root=str(tmp_path))
     server, link = cluster.servers[2], cluster.links[1]
@@ -726,7 +759,7 @@ def test_cached_own_sums_follow_the_store(tmp_path):
 
     enroll(base, "cam", cfg, cluster.links, random.Random(1))
     assert_fresh()
-    assert_fresh()  # answered from the cache
+    assert_fresh()
     cluster.tamper_stored(2, "cam", flip_one_element(random.Random(5), SCHEME.field.p))
     assert_fresh()
     enroll(far, "cam", cfg, cluster.links, random.Random(6))
@@ -742,17 +775,16 @@ def test_cached_own_sums_follow_the_store(tmp_path):
         wire.MSG_ENROLL, wire.pack_identified("cam", serialize_share_vector(tombstone))
     )
     assert rtype == wire.MSG_ENROLL_ACK
-    assert "cam" not in server._own  # no reference to the deleted share
     assert _server_partial(link, "cam", qvec) == wire.ERR_UNKNOWN_ID
 
 
-def test_cached_own_sums_under_racing_enrolls():
+def test_partials_under_racing_enrolls():
     # One writer re-enrolls two shares in turn while readers query the same
     # server; each partial must belong wholly to one of the two shares.
     cfg = CFG
     server = CloudServer(1, cfg)
     shares = [
-        prepare_vector(m, cfg.scaling, SCHEME, random.Random(i))[0][0]
+        prepare_fingerprint(m, cfg.scaling, SCHEME, random.Random(i))[0]
         for i, m in enumerate(sample_pair(32)[::2])
     ]
     qvec = prepare_vector(sample_pair(32)[1], cfg.scaling, SCHEME, random.Random(9))[0][0]
@@ -812,20 +844,19 @@ def test_enroll_computes_no_dot_products(monkeypatch):
     base, near, _ = sample_pair(30)
     enroll(base, "cam", CFG, cluster.links, random.Random(1))
     # The only one is the fingerprint's own square sum Q, in `encode_vector`,
-    # which `prepare_vector` checks against the capacity bound.
+    # which the fingerprint source checks and shares.
     assert dots == {"client": 1, "server": 0}
-    # Every server answers inline.  The first query fills each server's
-    # cache (6 dots for the stored square beside the cross sum's 9); later
-    # ones reuse it.  The querier sums its own square in one dot.
+    # Every server answers inline, each query with the 9 limb dots of the
+    # cross sum alone.  The querier sums its own square in one dot.
     query_residual(near, "cam", CFG, cluster.links, random.Random(2))
-    assert dots == {"client": 2, "server": SCHEME.n * 15}
+    assert dots == {"client": 2, "server": SCHEME.n * 9}
     query_residual(near, "cam", CFG, cluster.links, random.Random(3))
-    assert dots == {"client": 3, "server": SCHEME.n * (15 + 9)}
+    assert dots == {"client": 3, "server": SCHEME.n * 18}
 
 
 def test_each_share_is_split_into_limbs_once_per_query(monkeypatch):
-    # A cache miss sums the stored square from the same limb split of the
-    # stored share as the cross sum, so a miss splits as often as a hit.
+    # A server's one cross sum splits the stored share and the query share
+    # into limbs once each.
     from sss_prnu import field
 
     splits = []
@@ -838,7 +869,7 @@ def test_each_share_is_split_into_limbs_once_per_query(monkeypatch):
     assert len(splits) == 2 * SCHEME.n
     query_residual(near, "cam", CFG, cluster.links, random.Random(3))
     assert len(splits) == 4 * SCHEME.n
-    # The audit's replay has no cache at all, and splits each share once.
+    # So does the audit's replay.
     stored = cluster.servers[1].store.get("cam")
     sent, _ = prepare_vector(near, CFG.scaling, SCHEME)
     compute_partials(stored, sent[0], SCHEME)
@@ -945,7 +976,7 @@ def test_tcp_closed_link_opens_no_socket(tcp_cluster, monkeypatch):
     link = tcp_cluster[0]
     link.close()
     connects = []
-    monkeypatch.setattr(socket, "create_connection", lambda *a, **k: connects.append(a))
+    monkeypatch.setattr(socket, "socket", lambda *a, **k: connects.append(a))
     with pytest.raises(TransportError, match="server 1: link closed"):
         fetch_share("cam", link)
     assert connects == []
@@ -984,8 +1015,11 @@ def test_tcp_unreachable_server_is_transport_error():
     dead_port = probe.getsockname()[1]
     probe.close()
     link = TcpLink(1, ("127.0.0.1", dead_port), timeout_ms=300)
-    with pytest.raises(TransportError):
-        link.request(wire.MSG_FETCH, wire.pack_identified("x"))
+    try:
+        with pytest.raises(TransportError):
+            link.request(wire.MSG_FETCH, wire.pack_identified("x"))
+    finally:
+        link.close()
 
 
 def start_server(cloud, cls=TcpCloudServer):
@@ -1142,6 +1176,35 @@ def test_tcp_server_that_never_reads_costs_queries_no_wait():
             assert sorted(res.server_subset) == [1, 2, 3]
     finally:
         silent.close()
+        stop(links, servers)
+
+
+def test_tcp_server_that_cannot_accept_costs_queries_no_wait():
+    # Server 4's accept queue is full, so its connect never completes: the
+    # query frames wait behind the connect, not the caller.
+    cfg = ProtocolConfig(scheme=SCHEME, threshold=0.5, timeout_ms=2000)
+    servers = [start_server(CloudServer(u, cfg)) for u in SCHEME.evaluation_points]
+    links = [
+        TcpLink(u, srv.server_address, cfg.timeout_ms)
+        for u, srv in zip(SCHEME.evaluation_points, servers)
+    ]
+    full = socket.socket()
+    full.bind(("127.0.0.1", 0))
+    full.listen(0)
+    queued = socket.create_connection(full.getsockname(), timeout=5)
+    try:
+        base, near, _ = sample_pair(39)
+        enroll(base, "cam", cfg, links, random.Random(1))
+        links[3].close()
+        links[3] = TcpLink(4, full.getsockname(), cfg.timeout_ms)
+        for i in range(3):
+            t0 = time.monotonic()
+            res = query_residual(near, "cam", cfg, links, random.Random(2 + i))
+            assert time.monotonic() - t0 < 0.5
+            assert sorted(res.server_subset) == [1, 2, 3]
+    finally:
+        queued.close()
+        full.close()
         stop(links, servers)
 
 
