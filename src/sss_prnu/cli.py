@@ -3,7 +3,8 @@
 Output is line-oriented key=value pairs so runs are grep-able and
 reproducible; matching commands end with a bare MATCH or NO-MATCH
 token.  Exit codes: 0 match (or success), 1 no-match, 2 usage error,
-3 protocol error (quorum lost, tampering, transport).
+3 protocol error (quorum lost, tampering, transport), 4 any other
+failure, with its traceback on stderr.
 """
 
 from __future__ import annotations
@@ -12,10 +13,11 @@ import argparse
 import os
 import random
 import sys
+import traceback
 from contextlib import contextmanager
 from typing import Optional, Sequence
 
-from .field import DEFAULT_PRIME, FieldError, PrimeField
+from .field import DEFAULT_PRIME, PrimeField
 from .fixedpoint import Scaling
 from .prnu import (
     GaussianDenoiser,
@@ -347,9 +349,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (InconsistentSums, ProtocolError) as exc:
         print(f"error={exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, FieldError, SharingError) as exc:
+    except (ValueError, OSError, SharingError) as exc:
         print(f"error={exc}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 4
 
 
 if __name__ == "__main__":

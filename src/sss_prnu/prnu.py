@@ -16,6 +16,7 @@ double as the reference oracle for the encrypted pipeline.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from typing import BinaryIO, Sequence
@@ -218,6 +219,15 @@ def _read_pnm_tokens(fh: BinaryIO, count: int) -> list[int]:
     return tokens
 
 
+def _read_body(fh: BinaryIO, count: int, what: str) -> bytes:
+    """The next `count` bytes of file `fh`.  A file that holds fewer is
+    refused as truncated before the read, so that a header cannot make it
+    ask for more memory than the file has bytes."""
+    if os.fstat(fh.fileno()).st_size - fh.tell() < count:
+        raise ValueError(f"truncated {what}")
+    return fh.read(count)
+
+
 def read_pgm(path: str) -> np.ndarray:
     """Load a binary PGM (P5) or PPM (P6) as a float64 luminance matrix.
 
@@ -231,9 +241,7 @@ def read_pgm(path: str) -> np.ndarray:
         if maxval != 255:
             raise ValueError(f"only maxval 255 is supported, got {maxval}")
         channels = 1 if magic == b"P5" else 3
-        body = fh.read(width * height * channels)
-        if len(body) != width * height * channels:
-            raise ValueError("truncated PNM pixel data")
+        body = _read_body(fh, width * height * channels, "PNM pixel data")
     data = np.frombuffer(body, dtype=np.uint8).astype(np.float64)
     if channels == 1:
         return data.reshape(height, width)
@@ -278,7 +286,5 @@ def read_nmat(path: str) -> np.ndarray:
         if len(header) != _NMAT_HEADER.size:
             raise ValueError("truncated matrix header")
         w, h = _NMAT_HEADER.unpack(header)
-        body = fh.read(w * h * 8)
-        if len(body) != w * h * 8:
-            raise ValueError("truncated matrix data")
+        body = _read_body(fh, w * h * 8, "matrix data")
     return np.frombuffer(body, dtype=">f8").astype(np.float64).reshape(h, w)

@@ -70,6 +70,7 @@ from .field import PrimeField
 from .fixedpoint import Scaling
 from .prnu import DimensionMismatch, GaussianDenoiser, extract_residual
 from .sharing import (
+    LengthMismatch,
     ShareScheme,
     ShareVector,
     SharingError,
@@ -232,8 +233,25 @@ class ServerStore:
             return sorted(self._vectors)
 
 
+class _UnknownId(LookupError):
+    """A request names an id under which the store holds no share."""
+
+
+_REFUSALS = (
+    (_UnknownId, wire.ERR_UNKNOWN_ID),
+    (LengthMismatch, wire.ERR_LENGTH),
+    ((wire.FrameError, SharingError, ValueError), wire.ERR_MALFORMED),
+    (Exception, wire.ERR_INTERNAL),
+)
+
+
 class CloudServer:
-    """Request handler for one share point; transport-agnostic, with no state but its store."""
+    """Request handler for one share point; transport-agnostic, with no state but its store.
+
+    `handle` returns success frames only and raises every refusal;
+    `safe_handle` alone answers it with an ERROR frame: the code of the
+    first `_REFUSALS` row that the exception matches, and its text.
+    """
 
     def __init__(self, point: int, cfg: ProtocolConfig, store: Optional[ServerStore] = None):
         if point not in cfg.scheme.evaluation_points:
@@ -243,54 +261,36 @@ class CloudServer:
         self.store = store if store is not None else ServerStore(point, cfg.scheme.field)
 
     def safe_handle(self, ftype: int, payload: bytes) -> tuple[int, bytes]:
-        """handle() with every failure mapped to an ERROR frame."""
+        """handle(), with every exception answered by an ERROR frame."""
         try:
             return self.handle(ftype, payload)
-        except (wire.FrameError, SharingError, ValueError) as exc:
-            return wire.MSG_ERROR, wire.pack_error(wire.ERR_MALFORMED, str(exc))
         except Exception as exc:
-            return wire.MSG_ERROR, wire.pack_error(wire.ERR_INTERNAL, str(exc))
+            code = next(code for kind, code in _REFUSALS if isinstance(exc, kind))
+            return wire.MSG_ERROR, wire.pack_error(code, str(exc))
 
     def handle(self, ftype: int, payload: bytes) -> tuple[int, bytes]:
-        if ftype == wire.MSG_ENROLL:
-            return self._enroll(payload)
-        if ftype == wire.MSG_QUERY:
-            return self._query(payload)
-        if ftype == wire.MSG_FETCH:
-            return self._fetch(payload)
-        return wire.MSG_ERROR, wire.pack_error(
-            wire.ERR_MALFORMED, f"unexpected frame type {ftype:#04x}"
-        )
-
-    def _enroll(self, payload: bytes) -> tuple[int, bytes]:
+        if ftype not in (wire.MSG_ENROLL, wire.MSG_QUERY, wire.MSG_FETCH):
+            raise wire.FrameError(f"unexpected frame type {ftype:#04x}")
         fid, rest = wire.unpack_identified(payload)
+        if ftype == wire.MSG_FETCH:
+            return wire.MSG_SHARE, serialize_share_vector(self._stored(fid))
         vec = deserialize_share_vector(rest)
+        if ftype == wire.MSG_QUERY:
+            qvec = self.store.check(vec)
+            pc = compute_partials(self._stored(fid), qvec, self.cfg.scheme)
+            return wire.MSG_PARTIAL, serialize_partial(pc)
         if len(vec) == 0:
             # Zero-length vector is the delete marker used for rollback.
             self.store.delete(fid)
-            return wire.MSG_ENROLL_ACK, b""
-        self.store.put(fid, vec)
+        else:
+            self.store.put(fid, vec)
         return wire.MSG_ENROLL_ACK, b""
 
-    def _query(self, payload: bytes) -> tuple[int, bytes]:
-        fid, rest = wire.unpack_identified(payload)
-        qvec = self.store.check(deserialize_share_vector(rest))
+    def _stored(self, fid: str) -> ShareVector:
         stored = self.store.get(fid)
         if stored is None:
-            return wire.MSG_ERROR, wire.pack_error(
-                wire.ERR_UNKNOWN_ID, f"no share stored under id {fid!r}"
-            )
-        pc = compute_partials(stored, qvec, self.cfg.scheme)
-        return wire.MSG_PARTIAL, serialize_partial(pc)
-
-    def _fetch(self, payload: bytes) -> tuple[int, bytes]:
-        fid, _ = wire.unpack_identified(payload)
-        stored = self.store.get(fid)
-        if stored is None:
-            return wire.MSG_ERROR, wire.pack_error(
-                wire.ERR_UNKNOWN_ID, f"no share stored under id {fid!r}"
-            )
-        return wire.MSG_SHARE, serialize_share_vector(stored)
+            raise _UnknownId(f"no share stored under id {fid!r}")
+        return stored
 
 
 class LocalLink:
@@ -722,30 +722,33 @@ def _check_request(links: Sequence, cfg: ProtocolConfig, fid: str, count: int) -
     wire.check_frame_length(1 + len(wire.pack_identified(fid)) + serialized_size(count))
 
 
-class _ServerRefusal(Exception):
-    """ERROR frame from a server, kept out of the public exception set."""
+class _ServerRefusal(TransportError):
+    """A server's ERROR frame of any code but an unknown id; `code` stays private."""
 
     def __init__(self, point: int, code: int, message: str):
-        self.point = point
         self.code = code
         super().__init__(f"server {point}: {message} (code {code})")
 
 
-def _expect(link, want: int, reply: tuple[int, bytes]) -> bytes:
-    """The payload of `link`'s `reply` if it is a `want` frame.
+def _expect(link, want: int, reply: tuple[int, bytes], parse: Callable = bytes):
+    """`parse` of the payload of `link`'s `reply` if it is a `want` frame.
 
-    An ERROR raises that server's _ServerRefusal; an ERROR that does not
-    parse, or a frame of any other type, raises its TransportError.
+    The one place that decodes an ERROR frame: ERR_UNKNOWN_ID raises
+    UnknownFingerprint for that server, any other code its
+    _ServerRefusal.  A frame of any other type, or a payload that `parse`
+    or the ERROR's layout refuses with ValueError, raises its TransportError.
     """
     rtype, rpayload = reply
-    if rtype == want:
-        return rpayload
-    if rtype != wire.MSG_ERROR:
+    if rtype not in (want, wire.MSG_ERROR):
         raise TransportError(f"server {link.point} sent frame type {rtype:#04x}")
     try:
+        if rtype == want:
+            return parse(rpayload)
         code, message = wire.unpack_error(rpayload)
-    except wire.FrameError as exc:
+    except ValueError as exc:
         raise TransportError(f"server {link.point}: {exc}") from exc
+    if code == wire.ERR_UNKNOWN_ID:
+        raise UnknownFingerprint([link.point])
     raise _ServerRefusal(link.point, code, message)
 
 
@@ -785,7 +788,7 @@ def _gather(
             try:
                 records.append((link, parse(link, fut.result())))
                 succeeded += 1
-            except (ProtocolError, _ServerRefusal) as exc:
+            except ProtocolError as exc:
                 records.append((link, exc))
     records.extend(
         (link, TransportError(f"server {link.point}: no reply by the deadline"))
@@ -839,11 +842,7 @@ def enroll(
 
 
 def _parse_partial(link, reply: tuple[int, bytes]) -> PartialCorrelation:
-    rpayload = _expect(link, wire.MSG_PARTIAL, reply)
-    try:
-        pc = deserialize_partial(rpayload)
-    except ValueError as exc:
-        raise TransportError(f"server {link.point}: {exc}") from exc
+    pc = _expect(link, wire.MSG_PARTIAL, reply, deserialize_partial)
     if pc.point != link.point:
         raise TransportError(f"server {link.point} answered for point {pc.point}")
     return pc
@@ -852,21 +851,17 @@ def _parse_partial(link, reply: tuple[int, bytes]) -> PartialCorrelation:
 def _no_quorum(
     responded: int, records: list[tuple], cfg: ProtocolConfig
 ) -> ProtocolError | DimensionMismatch:
-    """The error for a gather of partials that fell short of the quorum.
-
-    Servers refuse a well-formed client's query as malformed only when
-    it does not fit the enrolled share, such as an image of another size.
-    """
+    """The error for a gather of partials that fell short of the quorum:
+    UnknownFingerprint if a server lacks the id, else DimensionMismatch if
+    one refused the query's length (ERR_LENGTH, an image of another size),
+    else QuorumNotReached, which names every other failure and refusal."""
     failed = [(link, result) for link, result in records if isinstance(result, Exception)]
-    refusals = [exc for _, exc in failed if isinstance(exc, _ServerRefusal)]
-    unknown = [exc.point for exc in refusals if exc.code == wire.ERR_UNKNOWN_ID]
+    unknown = [u for _, exc in failed if isinstance(exc, UnknownFingerprint) for u in exc.points]
     if unknown:
         return UnknownFingerprint(unknown)
-    malformed = [exc for exc in refusals if exc.code == wire.ERR_MALFORMED]
-    if malformed:
-        return DimensionMismatch(
-            "servers refused the query: " + "; ".join(str(exc) for exc in malformed)
-        )
+    length = [exc for _, exc in failed if getattr(exc, "code", None) == wire.ERR_LENGTH]
+    if length:
+        return DimensionMismatch("servers refused the query: " + "; ".join(map(str, length)))
     return QuorumNotReached(responded, cfg.quorum, failed)
 
 
@@ -922,16 +917,7 @@ def query(
 
 
 def _parse_share(link, reply: tuple[int, bytes]) -> ShareVector:
-    try:
-        rpayload = _expect(link, wire.MSG_SHARE, reply)
-    except _ServerRefusal as exc:
-        if exc.code == wire.ERR_UNKNOWN_ID:
-            raise UnknownFingerprint([link.point]) from exc
-        raise TransportError(str(exc)) from exc
-    try:
-        return deserialize_share_vector(rpayload)
-    except ValueError as exc:
-        raise TransportError(f"server {link.point}: {exc}") from exc
+    return _expect(link, wire.MSG_SHARE, reply, deserialize_share_vector)
 
 
 def fetch_share(fid: str, link) -> ShareVector:

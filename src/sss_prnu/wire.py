@@ -12,7 +12,7 @@ Message types:
     0x04 PARTIAL     partial correlation (24 bytes)
     0x05 FETCH       id-length (2B) | id bytes
     0x06 SHARE       share vector
-    0x7F ERROR       code (2B) | utf-8 message
+    0x7F ERROR       code (2B, one of ERR_* below) | utf-8 message
 
 The in-process transport and the TCP transport both move exactly these
 bytes, so traffic inspectors and golden traces behave identically on
@@ -32,9 +32,10 @@ MSG_FETCH = 0x05
 MSG_SHARE = 0x06
 MSG_ERROR = 0x7F
 
-ERR_MALFORMED = 1
-ERR_UNKNOWN_ID = 2
-ERR_INTERNAL = 3
+ERR_MALFORMED = 1  # a request that does not parse or does not fit this server
+ERR_UNKNOWN_ID = 2  # no share stored under the request's id
+ERR_INTERNAL = 3  # the server failed to carry out a well-formed request
+ERR_LENGTH = 4  # a query whose length does not fit the enrolled share
 
 # 64 MiB: a share vector frame holds up to about 8.4 million elements,
 # a 2896x2896 image.

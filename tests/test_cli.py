@@ -317,6 +317,21 @@ def test_env_seed_overrides_flag(dataset, tmp_path, capsys, monkeypatch):
     assert tree_bytes(roots[0]) == tree_bytes(roots[1])
 
 
+def test_unexpected_failure_has_its_own_exit_code(dataset, capsys, monkeypatch):
+    def crash(path):
+        raise RuntimeError("disk gone")
+
+    monkeypatch.setattr(sss_prnu.cli, "read_nmat", crash)
+    code, out, err = run_cli(
+        ["match-local", "--fingerprint", dataset["fp"], "--image", dataset["same_query"],
+         "--threshold", "0.1"],
+        capsys,
+    )
+    assert code == 4
+    assert "NO-MATCH" not in out
+    assert "Traceback" in err and err.rstrip().endswith("RuntimeError: disk gone")
+
+
 def test_missing_transport_is_usage_error(dataset, capsys):
     code, _, err = run_cli(
         ["enroll", "--fingerprint", dataset["fp"], "--id", "cam00"], capsys

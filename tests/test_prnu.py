@@ -19,6 +19,7 @@ from sss_prnu import (
     write_nmat,
     write_pgm,
 )
+from sss_prnu import prnu
 
 D = GaussianDenoiser()
 
@@ -238,3 +239,42 @@ def test_nmat_rejects_bad_input(tmp_path):
         fh.write(good[:-5])
     with pytest.raises(ValueError):
         read_nmat(path)
+
+
+class _ReadGuard:
+    """A file object that fails any read asking for more bytes than the
+    file holds, before it reaches the file."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def read(self, size=-1):
+        left = os.fstat(self._fh.fileno()).st_size - self._fh.tell()
+        assert size <= left, f"read of {size} bytes with {left} left in the file"
+        return self._fh.read(size)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._fh.close()
+
+
+@pytest.mark.parametrize(
+    "reader, header, message",
+    [
+        (read_nmat, b"NMAT" + bytes.fromhex("0000ffff0000ffff"), "truncated matrix data"),
+        (read_pgm, b"P5\n65535 65535\n255\n", "truncated PNM pixel data"),
+    ],
+    ids=["nmat", "pgm"],
+)
+def test_oversized_header_is_refused_before_reading(tmp_path, monkeypatch, reader, header, message):
+    path = os.path.join(tmp_path, "huge")
+    with open(path, "wb") as fh:
+        fh.write(header + bytes(64))
+    monkeypatch.setattr(prnu, "open", lambda *a, **k: _ReadGuard(open(*a, **k)), raising=False)
+    with pytest.raises(ValueError, match=message):
+        reader(path)

@@ -1466,3 +1466,118 @@ def test_tcp_hung_server_costs_no_thread_per_query():
         for srv in servers:
             srv.shutdown()
             srv.server_close()
+
+
+# ---------------------------------------------------------------------------
+# Refusals: what each server answers, and what each driver raises for it.
+
+
+class _FailingStore(ServerStore):
+    def get(self, fid):
+        raise RuntimeError("disk gone")
+
+
+def _query_payload(point, fid, values=(1, 2, 3)):
+    return wire.pack_identified(fid, serialize_share_vector(ShareVector(point, list(values))))
+
+
+REFUSALS = {
+    "query-unknown-id": (
+        ServerStore,
+        (wire.MSG_QUERY, _query_payload(1, "ghost")),
+        ("ERR_UNKNOWN_ID", "no share stored under id 'ghost'"),
+    ),
+    "fetch-unknown-id": (
+        ServerStore,
+        (wire.MSG_FETCH, wire.pack_identified("ghost")),
+        ("ERR_UNKNOWN_ID", "no share stored under id 'ghost'"),
+    ),
+    "unexpected-type": (
+        ServerStore,
+        (0x55, b""),
+        ("ERR_MALFORMED", "unexpected frame type 0x55"),
+    ),
+    "failing-store": (
+        _FailingStore,
+        (wire.MSG_FETCH, wire.pack_identified("cam")),
+        ("ERR_INTERNAL", "disk gone"),
+    ),
+    "other-length": (
+        ServerStore,
+        (wire.MSG_QUERY, _query_payload(1, "cam", (1, 2))),
+        ("ERR_LENGTH", "query has 2 elements but the fingerprint was enrolled with 3"),
+    ),
+}
+
+
+@pytest.mark.parametrize("transport", ["local", "tcp"])
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_server_refusal_table(case, transport):
+    store_cls, request, (code, message) = REFUSALS[case]
+    store = store_cls(1, SCHEME.field)
+    store.put("cam", ShareVector(1, [5, 6, 7, 8]))
+    cloud = CloudServer(1, CFG, store)
+    if transport == "local":
+        link, servers = LocalLink(cloud), []
+    else:
+        servers = [start_server(cloud)]
+        link = TcpLink(1, servers[0].server_address)
+    try:
+        rtype, rpayload = link.request(*request)
+        assert rtype == wire.MSG_ERROR
+        assert wire.unpack_error(rpayload) == (getattr(wire, code), message)
+    finally:
+        stop([link], servers)
+
+
+def _cluster_with_failing_stores(points):
+    cluster = make_cluster()
+    for u in points:
+        cluster.servers[u].store = _FailingStore(u, SCHEME.field)
+    return cluster
+
+
+def test_fetch_share_of_an_unknown_id_names_that_server():
+    cluster = make_cluster()
+    with pytest.raises(UnknownFingerprint) as info:
+        fetch_share("ghost", cluster.links[2])
+    assert info.value.points == (3,)
+
+
+def test_fetch_share_from_a_failing_store_is_a_transport_error():
+    cluster = _cluster_with_failing_stores([3])
+    with pytest.raises(TransportError, match=r"^server 3: disk gone \(code 3\)$"):
+        fetch_share("cam", cluster.links[2])
+
+
+def test_query_with_two_failing_stores_loses_the_quorum():
+    cluster = make_cluster()
+    base, near, _ = sample_pair(34)
+    enroll(base, "cam", CFG, cluster.links, random.Random(1))
+    for u in (2, 4):
+        cluster.servers[u].store = _FailingStore(u, SCHEME.field)
+    with pytest.raises(QuorumNotReached) as info:
+        query_residual(near, "cam", CFG, cluster.links, random.Random(2))
+    assert (info.value.responded, info.value.required) == (2, 3)
+    for u in (2, 4):
+        assert f"server {u}: disk gone (code 3)" in str(info.value)
+
+
+def test_tcp_misrouted_servers_lose_the_quorum_not_the_image():
+    # Points 1 and 2 are given each other's address: each server refuses
+    # the other's share.  The image fits; the query lost its quorum.
+    clouds = [CloudServer(u, CFG) for u in SCHEME.evaluation_points]
+    servers = [start_server(cloud) for cloud in clouds]
+    addresses = [srv.server_address for srv in servers]
+    addresses[0], addresses[1] = addresses[1], addresses[0]
+    good = [TcpLink(u, srv.server_address) for u, srv in zip(SCHEME.evaluation_points, servers)]
+    swapped = [TcpLink(u, a) for u, a in zip(SCHEME.evaluation_points, addresses)]
+    try:
+        base, near, _ = sample_pair(35, shape=(16, 16))
+        enroll(base, "cam", CFG, good, random.Random(1))
+        with pytest.raises(QuorumNotReached) as info:
+            query_residual(near, "cam", CFG, swapped, random.Random(2))
+        assert "share for point 1 at server 2" in str(info.value)
+        assert "share for point 2 at server 1" in str(info.value)
+    finally:
+        stop(good + swapped, servers)
