@@ -228,6 +228,7 @@ def cmd_verify(args) -> int:
         key = "subset_" + "_".join(str(p) for p in subset)
         _emit(key, f"{triple[0]},{triple[1]},{triple[2]}")
     _emit("suspects", ",".join(str(p) for p in report.suspects) or "none")
+    _emit("audit", report.audit)
     if not report.consistent:
         print("error=share tampering detected", file=sys.stderr)
         return 3

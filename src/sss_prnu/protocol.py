@@ -66,7 +66,7 @@ from .correlation import (
     reconstruct_sum_ints,
     serialize_partial,
 )
-from .field import PrimeField
+from .field import ELEMENT_DTYPE, PrimeField
 from .fixedpoint import Scaling
 from .prnu import DimensionMismatch, GaussianDenoiser, extract_residual
 from .sharing import (
@@ -76,6 +76,7 @@ from .sharing import (
     SharingError,
     deserialize_share_vector,
     interpolate_vector,
+    lagrange_weights,
     serialize_share_vector,
     serialized_size,
 )
@@ -250,7 +251,8 @@ class CloudServer:
 
     `handle` returns success frames only and raises every refusal;
     `safe_handle` alone answers it with an ERROR frame: the code of the
-    first `_REFUSALS` row that the exception matches, and its text.
+    first `_REFUSALS` row that the exception matches, and its text.  It
+    logs the traceback of an internal failure (ERR_INTERNAL) only.
     """
 
     def __init__(self, point: int, cfg: ProtocolConfig, store: Optional[ServerStore] = None):
@@ -266,6 +268,9 @@ class CloudServer:
             return self.handle(ftype, payload)
         except Exception as exc:
             code = next(code for kind, code in _REFUSALS if isinstance(exc, kind))
+            if code == wire.ERR_INTERNAL:
+                # The client sees only the text; the traceback stays here.
+                _log.exception("server %d: frame type %#04x failed", self.point, ftype)
             return wire.MSG_ERROR, wire.pack_error(code, str(exc))
 
     def handle(self, ftype: int, payload: bytes) -> tuple[int, bytes]:
@@ -927,13 +932,101 @@ def fetch_share(fid: str, link) -> ShareVector:
 
 @dataclass
 class ConsistencyReport:
-    """Outcome of cross-checking every quorum subset of one query."""
+    """Outcome of cross-checking every quorum subset of one query.
+
+    `audit` says how the suspects were located: "none" when every subset
+    agreed, "probe" when the probe round named them, "fetch" when the
+    stored shares were fetched and audited.
+    """
 
     consistent: bool
     responding: tuple[int, ...]
     triples: dict[tuple[int, ...], tuple[int, int, int]]
     suspects: tuple[int, ...]
     implicated: dict[int, list[tuple[int, ...]]]
+    audit: str
+
+
+# A probe's public weights are uniform in [0, 2**21): one limb each.
+_PROBE_BITS = 21
+
+
+def _probe_stores(
+    links: Sequence, fid: str, count: int, cfg: ProtocolConfig, rng: random.Random
+) -> Optional[set[int]]:
+    """The servers whose stores one probe round locates as tampered, or
+    None if its answers cannot be decoded.
+
+    The probe is an ordinary QUERY to each of `links`, whose vector is
+    one public rho: `count` weights uniform in [0, 2**21), drawn from
+    `rng`, the same for every server and stamped with its point.  Its
+    PARTIAL then carries sum_k rho_k * a_u,k over the stored elements
+    0..N-1, beside the stored Q share, element N.  Over honest stores
+    both lie on polynomials of degree l-1 in u; `_decode_errors` names
+    the points that leave them.  A tampered element k escapes only if
+    rho_k is 0, with probability 2**-21; a tampered Q share never does.
+    """
+    mask = (1 << _PROBE_BITS) - 1
+    rho = (np.frombuffer(rng.randbytes(4 * count), dtype="<u4") & mask).astype(ELEMENT_DTYPE)
+    requests = (
+        (
+            wire.MSG_QUERY,
+            wire.pack_identified(fid, serialize_share_vector(ShareVector(link.point, rho))),
+            _parse_partial,
+        )
+        for link in links
+    )
+    parts = [pc for _, pc in _gather(links, requests, cfg) if isinstance(pc, PartialCorrelation)]
+    return _decode_errors(
+        [pc.point for pc in parts],
+        ([pc.p_share for pc in parts], [pc.q_share for pc in parts]),
+        cfg.scheme.l,
+        cfg.scheme.field,
+    )
+
+
+def _decode_errors(
+    points: Sequence[int], columns: Sequence[Sequence[int]], l: int, field: PrimeField
+) -> Optional[set[int]]:
+    """The points whose values, in some column, leave the one polynomial
+    of degree l-1 through all the others; None if a column cannot be
+    decoded.  Each column holds one value per point.
+
+    Reed-Solomon unique decoding: of m values, up to t = (m-l) // 2
+    wrong ones are located, since two polynomials that each miss at most
+    t values share m-2t >= l of them and are one.  Each l-subset of the
+    points is tried as the base until the polynomial through it misses at
+    most t values of the column; with none such, the column has more
+    than t wrong values.  A value outside [0, p) is wrong under every
+    base.  Each base's Lagrange weights to the other points are computed
+    once and serve every column.
+    """
+    p, m = field.p, len(points)
+    if m < l:
+        return None
+    t = (m - l) // 2
+    bases: dict[tuple[int, ...], list[tuple[int, list[int]]]] = {}
+    located: set[int] = set()
+    for column in columns:
+        for base in combinations(range(m), l):
+            if any(column[i] >= p for i in base):
+                continue
+            if base not in bases:
+                at = [points[i] for i in base]
+                bases[base] = [
+                    (x, lagrange_weights(at, points[x], field)) for x in range(m) if x not in base
+                ]
+            wrong = {
+                points[x]
+                for x, weights in bases[base]
+                if sum(w * column[i] for w, i in zip(weights, base)) % p != column[x]
+            }
+            if len(wrong) <= t:
+                located |= wrong
+                break
+        else:
+            return None
+    return located
 
 
 def _audit_stored_shares(
@@ -1022,9 +1115,20 @@ def verify_residual(
 
     All subsets agree exactly on the integer (P, Q, R) triple when
     nobody tampered; R is the querier's own, the same in every triple,
-    so P and Q carry the comparison.  On disagreement, stored shares are
-    fetched and audited to identify the culprit; spare servers beyond
-    the quorum are what make any of this observable.
+    so P and Q carry the comparison.  Spare servers beyond the quorum
+    are what make any of this observable.
+
+    On disagreement, every server that answered gets one probe
+    (`_probe_stores`), a QUERY whose public weights rho are drawn from
+    `rng`, or from the system RNG when it is None.  Only when the probe
+    names no store, or its answers cannot be decoded, are the stored
+    shares fetched and audited: `_audit_stored_shares` and
+    `_audit_partials`, which also names a server whose store is clean but
+    whose sums lie.  The probe locates stores only, up to (m-l) // 2 of
+    the m that answer it: at (2, 4), a second server that lies only about
+    its sums, beside a tampered store, is not named.  That case is beyond
+    one fault.  A tampered verify thus waits at most three deadlines: the
+    verify's, the probe's and the FETCH's.
     """
     scheme = cfg.scheme
     if scheme.n == scheme.quorum:
@@ -1045,13 +1149,20 @@ def verify_residual(
 
     suspects: set[int] = set()
     implicated: dict[int, list[tuple[int, ...]]] = {}
+    audit = "none"
     if not consistent:
         answered = [link for link in links if link.point in by_point]
-        fetch = (wire.MSG_FETCH, wire.pack_identified(fid), _parse_share)
-        records = _gather(answered, [fetch] * len(answered), cfg)
-        fetched = {link.point: vec for link, vec in records if isinstance(vec, ShareVector)}
-        suspects |= _audit_stored_shares(fetched, scheme)
-        suspects |= _audit_partials(fetched, sent, by_point, cfg)
+        probe_rng = rng if rng is not None else random.SystemRandom()
+        located = _probe_stores(answered, fid, len(vectors[0]), cfg, probe_rng)
+        if located:
+            audit, suspects = "probe", located
+        else:
+            audit = "fetch"
+            fetch = (wire.MSG_FETCH, wire.pack_identified(fid), _parse_share)
+            records = _gather(answered, [fetch] * len(answered), cfg)
+            fetched = {link.point: vec for link, vec in records if isinstance(vec, ShareVector)}
+            suspects = _audit_stored_shares(fetched, scheme)
+            suspects |= _audit_partials(fetched, sent, by_point, cfg)
         honest = _honest_triple(triples, suspects)
         for s in sorted(suspects):
             bad = [
@@ -1066,6 +1177,7 @@ def verify_residual(
         triples=triples,
         suspects=tuple(sorted(suspects)),
         implicated=implicated,
+        audit=audit,
     )
 
 

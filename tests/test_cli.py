@@ -274,6 +274,29 @@ def test_verify_flags_tampered_store(dataset, tmp_path, capsys):
     assert "tampering" in err
 
 
+def test_verify_prints_how_it_located_its_suspects(dataset, tmp_path, capsys):
+    store = str(tmp_path / "cluster")
+    verify = ["verify", "--image", dataset["same_query"], "--id", "cam00",
+              "--store-root", store, "--seed", "8"]
+    code, _, _ = run_cli(
+        ["enroll", "--fingerprint", dataset["fp"], "--id", "cam00",
+         "--store-root", store, "--seed", "5"],
+        capsys,
+    )
+    assert code == 0
+    code, out, _ = run_cli(verify, capsys)
+    assert code == 0
+    assert kv(out)["audit"] == "none"
+    s3 = ServerStore(3, PrimeField(), os.path.join(store, "server_3"))
+    vec = s3.get("cam00")
+    values = list(vec.values)
+    values[-1] = (values[-1] + 1) % (2**61 - 1)
+    s3.put("cam00", type(vec)(vec.point, values))
+    code, out, _ = run_cli(verify, capsys)
+    assert code == 3
+    assert (kv(out)["suspects"], kv(out)["audit"]) == ("3", "probe")
+
+
 def test_query_of_a_tampered_store_is_protocol_error(dataset, tmp_path, capsys):
     store = str(tmp_path / "cluster")
     code, _, _ = run_cli(

@@ -114,6 +114,29 @@ def test_gram_matches_python_ints_across_blocks(p, block, monkeypatch):
                 assert f.dot(vectors[x], vectors[y]) == expected
 
 
+DOT_TOPS = (0, 1, 2**21 - 1, 2**21, 2**42 - 1, 2**42, DEFAULT_PRIME - 1)
+
+
+@pytest.mark.parametrize("block", [64, field.CHUNK])
+def test_dot_of_operands_with_different_limb_counts_matches_python_ints(block, monkeypatch):
+    # Each operand's largest value, one of DOT_TOPS, sets how many of its
+    # limbs `dot` multiplies: 0, 1, 2 or 3.  Half of each vector holds
+    # that value, the largest limbs it allows, and half values below it.
+    monkeypatch.setattr(field, "CHUNK", block)
+    f = PrimeField()
+    gen = np.random.default_rng(block)
+    lengths = (1, 63, 64, 65, 3 * 64 + 5) if block == 64 else (block - 1, block + 1)
+    for n in lengths:
+        operands = {}
+        for top in DOT_TOPS:
+            v = gen.integers(0, top, n, dtype=np.uint64, endpoint=True)
+            v[::2] = top
+            operands[top] = v
+        for x, y in ((operands[a], operands[b]) for a in DOT_TOPS for b in DOT_TOPS):
+            expected = sum(u * w for u, w in zip(x.tolist(), y.tolist())) % f.p
+            assert f.dot(x, y) == expected
+
+
 def test_gram_block_bound_and_guards():
     # Limb products stay below 2**42; a full chunk of them fits uint64.
     assert (2**21 - 1) ** 2 * field.CHUNK < 2**64

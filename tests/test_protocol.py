@@ -1,3 +1,4 @@
+import logging
 import os
 import random
 import socket
@@ -50,7 +51,7 @@ from sss_prnu import (
     verify_residual,
 )
 from sss_prnu import wire
-from sss_prnu.protocol import _audit_stored_shares
+from sss_prnu.protocol import _audit_stored_shares, _decode_errors
 from sss_prnu.sharing import interpolate_vector, share_vector
 
 SCHEME = ShareScheme(l=2, n=4)
@@ -468,6 +469,78 @@ def test_audit_of_shares_of_unequal_length_matches_leave_one_out():
         assert _audit_stored_shares(fetched, SCHEME) == leave_one_out_audit(fetched, SCHEME) == named
 
 
+def on_one_polynomial(xs, ys, l, p):
+    """Whether the points (xs[i], ys[i]), all values in Z_p, lie on one
+    polynomial of degree l-1: plain Lagrange through the first l."""
+    if any(y >= p for y in ys):
+        return False
+    for x, y in zip(xs[l:], ys[l:]):
+        value = 0
+        for i, (xi, yi) in enumerate(zip(xs[:l], ys[:l])):
+            num = den = 1
+            for xj in xs[:i] + xs[i + 1 : l]:
+                num, den = num * (x - xj) % p, den * (xi - xj) % p
+            value += yi * num * pow(den, -1, p)
+        if value % p != y:
+            return False
+    return True
+
+
+def brute_force_decode(points, columns, l, p):
+    """Per column, the points outside the largest subset that lies on one
+    polynomial, if at most (m - l) // 2 are; else None: the reference
+    for `_decode_errors`."""
+    m = len(points)
+    located = set()
+    for column in columns:
+        largest = max(
+            (
+                subset
+                for k in range(m + 1)
+                for subset in combinations(range(m), k)
+                if on_one_polynomial(
+                    [points[i] for i in subset], [column[i] for i in subset], l, p
+                )
+            ),
+            key=len,
+        )
+        if m - len(largest) > (m - l) // 2:
+            return None
+        located |= {points[i] for i in range(m) if i not in largest}
+    return located
+
+
+@pytest.mark.parametrize("l, n", [(2, 4), (2, 5), (3, 5), (3, 6)])
+def test_probe_decoder_matches_brute_force(l, n):
+    # Every subset of the n points as the responders; 0 wrong values up to
+    # one more than the decodable (m - l) // 2, each in the P or the Q
+    # column, some of them past p.
+    f = SCHEME.field
+    p = f.p
+    gen = random.Random(100 * l + n)
+    located = 0
+    for m in range(n + 1):
+        for responders in combinations(range(1, n + 1), m):
+            t = (m - l) // 2
+            for wrong in range(min(m, max(t, 0) + 1) + 1):
+                polys = [[gen.randrange(p) for _ in range(l)] for _ in range(2)]
+                columns = [
+                    [sum(c * u**k for k, c in enumerate(poly)) % p for u in responders]
+                    for poly in polys
+                ]
+                bad = gen.sample(range(m), wrong)
+                for i in bad:
+                    column = columns[gen.randrange(2)]
+                    changed = (column[i] + 1 + gen.randrange(p - 1)) % p
+                    column[i] = gen.choice([changed, column[i] + p])
+                got = _decode_errors(responders, columns, l, f)
+                assert got == brute_force_decode(responders, columns, l, p), (responders, bad)
+                if wrong <= t:
+                    assert got == {responders[i] for i in bad}
+                    located += bool(got)
+    assert located > 0
+
+
 def test_verify_needs_spare_servers():
     scheme = ShareScheme(l=2, n=3)
     cfg = ProtocolConfig(scheme=scheme, threshold=0.5)
@@ -550,6 +623,76 @@ def test_malformed_share_reply_counts_as_a_transport_error():
     assert report.responding == (1, 2, 3, 4, 5)
     assert not report.consistent
     assert report.suspects == (2,)
+
+
+def fetch_observer():
+    """An observer that records (point, time.monotonic()) of each FETCH sent."""
+    fetches = []
+
+    def observer(point, direction, frame):
+        if direction == "send" and frame[4] == wire.MSG_FETCH:
+            fetches.append((point, time.monotonic()))
+
+    return fetches, observer
+
+
+def lie_on_first_partial(cloud):
+    """Make `cloud` flip one bit of the P share of its first PARTIAL only:
+    it lies about a verify's QUERY and answers the probe after it
+    honestly, so only the FETCH fallback can name it."""
+    inner, lied = cloud.handle, []
+
+    def handle(ftype, payload):
+        rtype, rpayload = inner(ftype, payload)
+        if rtype == wire.MSG_PARTIAL and not lied:
+            lied.append(ftype)
+            rpayload = rpayload[:12] + bytes([rpayload[12] ^ 0x40]) + rpayload[13:]
+        return rtype, rpayload
+
+    cloud.handle = handle
+
+
+@pytest.mark.parametrize("column", [3, -1], ids=["fingerprint-element", "q-share"])
+def test_probe_names_a_tampered_store_without_fetch(column):
+    fetches, observer = fetch_observer()
+    cluster = make_cluster(observer=observer)
+    base, near, _ = sample_pair(11)
+    enroll(base, "cam", CFG, cluster.links, random.Random(1))
+    assert verify_residual(near, "cam", CFG, cluster.links, random.Random(2)).audit == "none"
+    store = cluster.servers[2].store
+    values = store.get("cam").values.copy()
+    values[column] = (int(values[column]) + 1) % SCHEME.field.p
+    store.put("cam", ShareVector(2, values))
+    report = verify_residual(near, "cam", CFG, cluster.links, random.Random(3))
+    assert not report.consistent
+    assert report.suspects == (2,)
+    assert report.audit == "probe"
+    assert set(report.implicated[2]) == {(1, 2, 3), (1, 2, 4), (2, 3, 4)}
+    assert fetches == []
+
+
+def test_fetch_fallback_names_a_liar_despite_a_malformed_share_reply():
+    # The twin of the test above that reaches FETCH: every store is clean,
+    # and server 2 lies only about the verify's QUERY, so the probe names
+    # no store.  Server 5 answers FETCH with a 2-byte SHARE; the partials
+    # audit still names server 2 from the four shares left.
+    scheme = ShareScheme(l=2, n=5)
+    cfg = ProtocolConfig(scheme=scheme, threshold=0.5)
+    fetches, observer = fetch_observer()
+    cluster = make_cluster(cfg, observer=observer)
+    base, near, _ = sample_pair(25)
+    enroll(base, "cam", cfg, cluster.links, random.Random(1))
+    lie_on_first_partial(cluster.servers[2])
+    inner = cluster.servers[5].handle
+    cluster.servers[5].handle = lambda ftype, payload: (
+        (wire.MSG_SHARE, b"\x00\x01") if ftype == wire.MSG_FETCH else inner(ftype, payload)
+    )
+    report = verify_residual(near, "cam", cfg, cluster.links, random.Random(2))
+    assert report.responding == (1, 2, 3, 4, 5)
+    assert not report.consistent
+    assert report.suspects == (2,)
+    assert report.audit == "fetch"
+    assert sorted(u for u, _ in fetches) == [1, 2, 3, 4, 5]
 
 
 def test_local_links_start_no_thread(monkeypatch):
@@ -1364,6 +1507,65 @@ def test_tcp_tampered_verify_fetches_under_one_deadline():
             srv.server_close()
 
 
+def test_tcp_probe_names_a_tampered_store_without_fetch():
+    fetches, observer = fetch_observer()
+    clouds = [CloudServer(u, CFG) for u in SCHEME.evaluation_points]
+    servers = [start_server(cloud) for cloud in clouds]
+    links = [
+        TcpLink(c.point, s.server_address, observer=observer) for c, s in zip(clouds, servers)
+    ]
+    try:
+        base, near, _ = sample_pair(31)
+        enroll(base, "cam", CFG, links, random.Random(1))
+        store = clouds[2].store
+        store.put("cam", flip_one_element(random.Random(5), SCHEME.field.p)(store.get("cam")))
+        report = verify_residual(near, "cam", CFG, links, random.Random(2))
+        assert report.suspects == (3,)
+        assert report.audit == "probe"
+        assert fetches == []
+    finally:
+        stop(links, servers)
+
+
+def test_tcp_fetch_fallback_runs_under_one_more_deadline():
+    # The twin of the test above that reaches FETCH: server 2 lies only
+    # about the verify's QUERY, so the probe names no store, and servers 5
+    # and 6 hang on FETCH.  From the first FETCH on, the verify waits one
+    # deadline, as before the probe.
+    scheme = ShareScheme(l=2, n=6)
+    cfg = ProtocolConfig(scheme=scheme, threshold=0.5, timeout_ms=300)
+    release = threading.Event()
+    fetches, observer = fetch_observer()
+    clouds = [CloudServer(u, cfg) for u in scheme.evaluation_points]
+    lie_on_first_partial(clouds[1])
+    for cloud in clouds[4:]:
+        inner = cloud.handle
+
+        def hung_on_fetch(ftype, payload, inner=inner):
+            if ftype == wire.MSG_FETCH:
+                release.wait(30)
+            return inner(ftype, payload)
+
+        cloud.handle = hung_on_fetch
+    servers = [start_server(cloud) for cloud in clouds]
+    links = [
+        TcpLink(c.point, s.server_address, cfg.timeout_ms, observer=observer)
+        for c, s in zip(clouds, servers)
+    ]
+    try:
+        base, near, _ = sample_pair(31)
+        enroll(base, "cam", cfg, links, random.Random(1))
+        report = verify_residual(near, "cam", cfg, links, random.Random(2))
+        elapsed = time.monotonic() - min(t for _, t in fetches)
+        assert report.suspects == (2,)
+        assert report.audit == "fetch"
+        assert sorted(u for u, _ in fetches) == [1, 2, 3, 4, 5, 6]
+        assert elapsed < 1.5 * cfg.timeout_ms / 1000.0
+    finally:
+        release.set()
+        stop(links, servers)
+
+
 def test_tcp_hung_server_cannot_stall_enrollment():
     # Server 4 hangs on every ENROLL, the delete marker included: the
     # enroll waits one deadline for it and the rollback one more.  Once
@@ -1528,6 +1730,23 @@ def test_server_refusal_table(case, transport):
         assert wire.unpack_error(rpayload) == (getattr(wire, code), message)
     finally:
         stop([link], servers)
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_server_logs_the_traceback_of_an_internal_failure_only(case, caplog):
+    store_cls, request, (code, _) = REFUSALS[case]
+    store = store_cls(1, SCHEME.field)
+    store.put("cam", ShareVector(1, [5, 6, 7, 8]))
+    with caplog.at_level(logging.DEBUG, logger="sss_prnu"):
+        rtype, _ = LocalLink(CloudServer(1, CFG, store)).request(*request)
+    assert rtype == wire.MSG_ERROR
+    if code == "ERR_INTERNAL":
+        (record,) = caplog.records
+        assert record.levelno == logging.ERROR
+        assert record.exc_info[0] is RuntimeError
+        assert "Traceback" in caplog.text and "disk gone" in caplog.text
+    else:
+        assert caplog.records == []
 
 
 def _cluster_with_failing_stores(points):
